@@ -296,10 +296,14 @@ def run(argv: list[str]) -> int:
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, RecursionError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -11,6 +11,7 @@ chain, a citation-backed separation, or Unknown.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -18,8 +19,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import ipc
-from .hierarchy import ClassLit, class_lit_subset, format_class_literal
-from .principles import PLAIN, catalog
+from .hierarchy import class_lit_subset
+from .nodes import (
+    FAMILIES, PLAIN, ClassLit, Node, NodePat, SchemaError, UnknownFamily,
+    canonical_node, parse_pattern,
+)
 
 __all__ = [
     "Rule", "SeparationFact", "RuleBase", "TheoryContext",
@@ -30,32 +34,11 @@ __all__ = [
     "export_dot", "verify_rulebase",
 ]
 
-MONOTONE_FAMILIES = frozenset({
-    "LEM", "DNE", "DNS", "DML", "LEMBOT", "DMLBOT", "DNEOR",
-    "PEIRCE", "DUAL", "WDUAL", "LN", "CD", "COLL",
-})
-
-# Families whose two class arguments are interchangeable; their ground
-# nodes are stored with sorted arguments.
-_SYMMETRIC = frozenset({"DML", "DMLBOT", "DNEOR"})
-
-_VARIANT_TAGS = ("DSI", "DPI")
-
-_ARITY = {}
-for _pid, _desc in catalog():
-    _tag = {"Plain": "", "DeltaSigma": "DSI", "DeltaPi": "DPI"}[_pid.variant]
-    _ARITY[(_pid.family, _tag)] = _pid.arity
-
-
-class SchemaError(ValueError):
-    pass
+# The default "inclusions": every family is monotone in its class arguments.
+MONOTONE_FAMILIES = FAMILIES
 
 
 class MissingCitation(SchemaError):
-    pass
-
-
-class UnknownFamily(SchemaError):
     pass
 
 
@@ -64,96 +47,17 @@ class LevelOutOfRange(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Node patterns
-
-_CLASS_PAT_RE = re.compile(r"^(nn|n)?([SPD])(?:\(k([+-]\d+)?\)|(\d+))$")
-
-
-@dataclass(frozen=True, slots=True)
-class ClassPat:
-    neg: int
-    kind: str
-    # offset from the level variable k, or an absolute level
-    offset: int | None
-    const: int | None
-
-    def level_at(self, k: int) -> int:
-        return k + self.offset if self.offset is not None else self.const
-
-
-@dataclass(frozen=True, slots=True)
-class NodePat:
-    family: str
-    tag: str
-    args: tuple[ClassPat, ...]
-
-
-def parse_pattern(text: str) -> NodePat:
-    parts = text.split(":")
-    family = parts[0]
-    rest = parts[1:]
-    tag = ""
-    if rest and rest[0] in _VARIANT_TAGS:
-        tag = rest[0]
-        rest = rest[1:]
-    if (family, tag) not in _ARITY:
-        raise UnknownFamily(f"unknown principle family: {text!r}")
-    args = []
-    for p in rest:
-        m = _CLASS_PAT_RE.match(p)
-        if not m:
-            raise SchemaError(f"bad class pattern {p!r} in {text!r}")
-        prefix, kind, off, const = m.groups()
-        neg = 0 if prefix is None else len(prefix)
-        if const is not None:
-            args.append(ClassPat(neg, kind, None, int(const)))
-        else:
-            args.append(ClassPat(neg, kind, int(off) if off else 0, None))
-    arity = _ARITY[(family, tag)]
-    if len(args) == 1 and arity == 2:
-        args = args * 2
-    if len(args) != arity:
-        raise SchemaError(f"{family} takes {arity} class argument(s): {text!r}")
-    return NodePat(family, tag, tuple(args))
-
-
-def _format_node(family: str, tag: str, lits: Iterable[ClassLit]) -> str:
-    lits = [lit.canonical() for lit in lits]
-    texts = [format_class_literal(lit) for lit in lits]
-    if family in _SYMMETRIC and not tag:
-        texts.sort()
-    parts = [family] + ([tag] if tag else []) + texts
-    return ":".join(parts)
-
+# Node text
 
 def ground_pattern(pat: NodePat, k: int) -> str | None:
-    """Instantiate at level k; None when any class goes below level 0
-    (the empty-class convention discards the instance)."""
-    lits = []
-    for a in pat.args:
-        lvl = a.level_at(k)
-        if lvl < 0:
-            return None
-        lits.append(ClassLit(a.neg, a.kind, lvl))
-    return _format_node(pat.family, pat.tag, lits)
-
-
-def canonical_node(text: str) -> str:
-    """Canonical ground node string: classes canonicalized (P0 = S0),
-    symmetric families sorted, diagonal sugar expanded."""
-    pat = parse_pattern(text)
-    node = ground_pattern(pat, 0)
-    if node is None:
-        raise SchemaError(f"not a ground node: {text!r}")
-    for a in pat.args:
-        if a.const is None:
-            raise SchemaError(f"not a ground node: {text!r}")
-    return node
+    """Canonical text of the pattern at level k; None when any class goes
+    below level 0 (the empty-class convention discards the instance)."""
+    node = pat.at(k)
+    return None if node is None else str(node)
 
 
 def node_level(node: str) -> int:
-    pat = parse_pattern(node)
-    return max(a.const if a.const is not None else 0 for a in pat.args)
+    return Node.parse(node).level
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +103,22 @@ def _guard_ok(guard: str | None, k: int) -> bool:
     return k >= n if op == ">=" else k == n
 
 
+def _entry(raw, what: str, index: int, required: str, seen: set) -> tuple[str, dict]:
+    """Id and citation of a rule or separation entry, checked for shape."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{what} entry {index} is not an object: {raw!r}")
+    eid = raw.get("id")
+    if not isinstance(eid, str) or not eid or eid in seen:
+        raise SchemaError(f"missing or duplicate {what} id: {eid!r}")
+    seen.add(eid)
+    if required not in raw:
+        raise SchemaError(f"{what} {eid} lacks {required!r}")
+    cite = raw.get("cite") or {}
+    if not isinstance(cite, dict) or not cite.get("ref") or not cite.get("quote"):
+        raise MissingCitation(f"{what} {eid} lacks a citation ref/quote")
+    return eid, dict(cite)
+
+
 def load_rulebase(src) -> RuleBase:
     """Validate and load a rule base from a JSON string or a dict."""
     if isinstance(src, (str, bytes)):
@@ -207,19 +127,17 @@ def load_rulebase(src) -> RuleBase:
         data = src
     if not isinstance(data, dict) or "rules" not in data:
         raise SchemaError("rule base must be an object with a 'rules' key")
+    for key in ("rules", "separations"):
+        if not isinstance(data.get(key, []), list):
+            raise SchemaError(f"rule base {key!r} must be a list")
 
     rules = []
-    seen = set()
-    for raw in data.get("rules", ()):
-        rid = raw.get("id")
-        if not rid or rid in seen:
-            raise SchemaError(f"missing or duplicate rule id: {rid!r}")
-        seen.add(rid)
-        cite = raw.get("cite") or {}
-        if not cite.get("ref") or not cite.get("quote"):
-            raise MissingCitation(f"rule {rid} lacks a citation ref/quote")
+    seen: set[str] = set()
+    for i, raw in enumerate(data["rules"]):
+        rid, cite = _entry(raw, "rule", i, "conclusion", seen)
         verify = raw.get("verify") or {"kind": "first-order"}
-        if verify.get("kind") not in ("propositional", "first-order"):
+        if not isinstance(verify, dict) or verify.get("kind") not in (
+                "propositional", "first-order"):
             raise SchemaError(f"rule {rid}: bad verify kind")
         if verify["kind"] == "propositional" and not verify.get("skeleton"):
             raise SchemaError(f"rule {rid}: propositional rule without skeleton")
@@ -227,26 +145,20 @@ def load_rulebase(src) -> RuleBase:
         concl = parse_pattern(raw["conclusion"])
         guard = raw.get("guard")
         _guard_ok(guard, 0)
-        rules.append(Rule(rid, prem, concl, guard, dict(cite), dict(verify)))
+        rules.append(Rule(rid, prem, concl, guard, cite, dict(verify)))
 
     seps = []
-    for raw in data.get("separations", ()):
-        fid = raw.get("id")
-        if not fid or fid in seen:
-            raise SchemaError(f"missing or duplicate separation id: {fid!r}")
-        seen.add(fid)
-        cite = raw.get("cite") or {}
-        if not cite.get("ref") or not cite.get("quote"):
-            raise MissingCitation(f"separation {fid} lacks a citation ref/quote")
+    for i, raw in enumerate(data.get("separations", ())):
+        fid, cite = _entry(raw, "separation", i, "unprovable", seen)
         theory = tuple(parse_pattern(p) for p in raw.get("theory", ()))
         unprov = parse_pattern(raw["unprovable"])
         guard = raw.get("guard")
         _guard_ok(guard, 0)
-        seps.append(SeparationFact(fid, theory, unprov, guard, dict(cite)))
+        seps.append(SeparationFact(fid, theory, unprov, guard, cite))
 
     incl = frozenset(data.get("inclusions", MONOTONE_FAMILIES))
     for fam in incl:
-        if not any(f == fam for f, _tag in _ARITY):
+        if fam not in FAMILIES:
             raise UnknownFamily(f"unknown family in inclusions: {fam!r}")
     return RuleBase(tuple(rules), tuple(seps), incl)
 
@@ -265,13 +177,17 @@ class TheoryContext:
     assumed: frozenset[str]
     k_max: int
 
+    def __post_init__(self):
+        """Spell the assumed nodes canonically and check their levels."""
+        canon = {Node.parse(n).canonical() for n in self.assumed}
+        for n in canon:
+            if n.level > self.k_max:
+                raise LevelOutOfRange(f"{n} exceeds k_max={self.k_max}")
+        object.__setattr__(self, "assumed", frozenset(map(str, canon)))
+
     @staticmethod
     def make(nodes: Iterable[str], k_max: int) -> "TheoryContext":
-        canon = frozenset(canonical_node(n) for n in nodes)
-        for n in canon:
-            if node_level(n) > k_max:
-                raise LevelOutOfRange(f"{n} exceeds k_max={k_max}")
-        return TheoryContext(canon, k_max)
+        return TheoryContext(frozenset(nodes), k_max)
 
 
 @dataclass
@@ -294,8 +210,9 @@ class Unknown:
 # Closure
 
 def _ground_rules(rb: RuleBase, k_max: int):
-    """All ground instances for k in 0..k_max; instances whose conclusion
-    exceeds k_max are kept as clamp markers (conclusion None)."""
+    """All ground instances (rule id, premise texts, conclusion text,
+    conclusion node, conclusion level) for k in 0..k_max; instances with a
+    node above k_max are kept as clamp markers (conclusion None)."""
     key = k_max
     if key in rb._ground_cache:
         return rb._ground_cache[key]
@@ -304,56 +221,31 @@ def _ground_rules(rb: RuleBase, k_max: int):
         for k in range(k_max + 1):
             if not _guard_ok(rule.guard, k):
                 continue
-            prems = []
-            dead = False
-            for p in rule.premises:
-                g = ground_pattern(p, k)
-                if g is None:
-                    dead = True
-                    break
-                prems.append(g)
-            if dead:
+            prems = [p.at(k) for p in rule.premises]
+            concl = rule.conclusion.at(k)
+            if concl is None or any(p is None for p in prems):
                 continue
-            concl = ground_pattern(rule.conclusion, k)
-            if concl is None:
-                continue
-            lvl = node_level(concl)
-            if lvl > k_max or any(node_level(p) > k_max for p in prems):
-                out.append((rule.rule_id, tuple(prems), None, lvl))
+            texts = tuple(map(str, prems))
+            if concl.level > k_max or any(p.level > k_max for p in prems):
+                out.append((rule.rule_id, texts, None, None, concl.level))
             else:
-                out.append((rule.rule_id, tuple(prems), concl, lvl))
+                out.append((rule.rule_id, texts, str(concl), concl, concl.level))
     rb._ground_cache[key] = out
     return out
 
 
-def _weaker_nodes(node: str, incl: frozenset[str], cache: dict) -> tuple[str, ...]:
-    if node in cache:
-        return cache[node]
-    pat = parse_pattern(node)
-    out: tuple[str, ...] = ()
-    if pat.family in incl and not pat.tag:
-        per_arg = []
-        for a in pat.args:
-            lit = ClassLit(a.neg, a.kind, a.const)
-            lower = [lit]
-            for kind in "SPD":
-                for lvl in range(a.const + 1):
-                    cand = ClassLit(a.neg, kind, lvl)
-                    if cand.canonical() != lit.canonical() and class_lit_subset(cand, lit):
-                        lower.append(cand)
-            per_arg.append(lower)
-        nodes = set()
-        if len(per_arg) == 1:
-            for l0 in per_arg[0]:
-                nodes.add(_format_node(pat.family, pat.tag, (l0,)))
-        else:
-            for l0 in per_arg[0]:
-                for l1 in per_arg[1]:
-                    nodes.add(_format_node(pat.family, pat.tag, (l0, l1)))
-        nodes.discard(node)
-        out = tuple(sorted(nodes))
-    cache[node] = out
-    return out
+def _weaker_nodes(node: Node, incl: frozenset[str]) -> list[str]:
+    """Every other node of a monotone family whose class arguments are
+    each included in the given node's, sorted."""
+    if node.pid.family not in incl or node.pid.variant != PLAIN:
+        return []
+    per_arg = [{c.canonical() for kind in "SPD" for lvl in range(a.level + 1)
+                if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)}
+               for a in node.args]
+    weaker = {str(Node(node.pid, args).canonical())
+              for args in itertools.product(*per_arg)}
+    weaker.discard(str(node))
+    return sorted(weaker)
 
 
 def _closure_detail(assumed: frozenset[str], rb: RuleBase, k_max: int,
@@ -369,9 +261,11 @@ def _closure_detail(assumed: frozenset[str], rb: RuleBase, k_max: int,
         instances = instances[:]
         rng.shuffle(instances)
     nodes: set[str] = set(assumed)
+    # Nodes whose weaker nodes are still to be added.  A node added by a
+    # monotonicity step never is: its weaker nodes are its source's.
+    unexpanded = {n: Node.parse(n) for n in assumed}
     steps: dict[str, tuple] = {}
     clamped: set[int] = set()
-    mono_cache: dict = {}
 
     def add(node, rid, prems):
         nodes.add(node)
@@ -381,11 +275,14 @@ def _closure_detail(assumed: frozenset[str], rb: RuleBase, k_max: int,
     while changed:
         changed = False
         for n in list(nodes):
-            for w in _weaker_nodes(n, rb.inclusions, mono_cache):
+            node = unexpanded.pop(n, None)
+            if node is None:
+                continue
+            for w in _weaker_nodes(node, rb.inclusions):
                 if w not in nodes:
-                    add(w, f"mono:{parse_pattern(n).family}", (n,))
+                    add(w, f"mono:{node.pid.family}", (n,))
                     changed = True
-        for rid, prems, concl, lvl in instances:
+        for rid, prems, concl, node, lvl in instances:
             if concl is not None and concl in nodes:
                 continue
             if all(p in nodes for p in prems):
@@ -393,6 +290,7 @@ def _closure_detail(assumed: frozenset[str], rb: RuleBase, k_max: int,
                     clamped.add(lvl)
                 else:
                     add(concl, rid, prems)
+                    unexpanded[concl] = node
                     changed = True
     return frozenset(nodes), steps, clamped
 
@@ -426,8 +324,9 @@ def _chain_for(goal: str, assumed: frozenset[str], steps: dict) -> list:
 def query(ctx: TheoryContext, goal: str, rb: RuleBase):
     """Derivable with a replayable chain, a cited Separated answer, or
     Unknown (with a boundary warning when the level cap interfered)."""
-    goal = canonical_node(goal)
-    if node_level(goal) > ctx.k_max:
+    goal_node = Node.parse(goal).canonical()
+    goal = str(goal_node)
+    if goal_node.level > ctx.k_max:
         raise LevelOutOfRange(f"{goal} exceeds k_max={ctx.k_max}")
     nodes, steps, clamped = _closure_detail(ctx.assumed, rb, ctx.k_max)
     if goal in nodes:
@@ -439,17 +338,10 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
         for k in range(ctx.k_max + 1):
             if not _guard_ok(fact.guard, k):
                 continue
-            theory = []
-            dead = False
-            for p in fact.theory:
-                g = ground_pattern(p, k)
-                if g is None or node_level(g) > ctx.k_max:
-                    dead = True
-                    break
-                theory.append(g)
-            unprov = ground_pattern(fact.unprovable, k)
-            if dead or unprov is None or node_level(unprov) > ctx.k_max:
+            ground = [p.at(k) for p in fact.theory + (fact.unprovable,)]
+            if any(g is None or g.level > ctx.k_max for g in ground):
                 continue
+            *theory, unprov = map(str, ground)
             theory_closure, _s2, _c2 = _closure_detail(
                 frozenset(theory), rb, ctx.k_max)
             if nodes <= theory_closure and unprov in nodes_with_goal:
@@ -468,8 +360,9 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
 def equivalence_class(node: str, base: TheoryContext, rb: RuleBase) -> frozenset[str]:
     """All nodes inter-derivable with the given node over HA plus the
     base context."""
-    node = canonical_node(node)
-    if node_level(node) > base.k_max - 2:
+    parsed = Node.parse(node).canonical()
+    node = str(parsed)
+    if parsed.level > base.k_max - 2:
         raise LevelOutOfRange(
             f"{node} needs k_max >= level + 2 (k_max={base.k_max})")
     fwd, _s, _c = _closure_detail(base.assumed | {node}, rb, base.k_max)

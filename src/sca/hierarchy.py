@@ -2,15 +2,12 @@
 inclusion lattice, pairing-based block merging, and theory-relative
 classification of bounded quantifiers and negations.
 
-Class literal text syntax (shared with the rule base and CLI):
-"S<k>" / "P<k>" / "D<k>" for the existential-leading, universal-leading,
-and equivalence-premise classes at level k, optionally prefixed by "n"
-(negated) or "nn" (doubly negated), e.g. "nS2", "nnP1".
+Class literals (ClassLit) and their text syntax live in the nodes module
+and are re-exported here.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -18,6 +15,10 @@ from .formulas import (
     Add, And, Bot, Eq, Exists, Forall, Formula, Imp, Lt, Or, Proj0, Proj1,
     Term, Var, all_names, format_formula, fresh_name, is_negation, negand,
     substitute, term_vars,
+)
+from .nodes import (
+    ClassLit, Node, canonical_node, format_class_literal, parse_class_literal,
+    principle,
 )
 
 __all__ = [
@@ -150,36 +151,6 @@ def prenex_merge(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Class literals
 
-_CLASS_RE = re.compile(r"^(nn|n)?([SPD])(\d+)$")
-
-
-@dataclass(frozen=True, slots=True)
-class ClassLit:
-    """Ground class literal: negation depth 0-2, kind S/P/D, level."""
-
-    neg: int
-    kind: str
-    level: int
-
-    def canonical(self) -> "ClassLit":
-        if self.kind == "P" and self.level == 0:
-            return ClassLit(self.neg, "S", 0)
-        return self
-
-
-def parse_class_literal(text: str) -> ClassLit:
-    m = _CLASS_RE.match(text)
-    if not m:
-        raise ValueError(f"bad class literal: {text!r}")
-    prefix, kind, level = m.groups()
-    neg = 0 if prefix is None else len(prefix)
-    return ClassLit(neg, kind, int(level))
-
-
-def format_class_literal(c: ClassLit) -> str:
-    return "n" * c.neg + c.kind + str(c.level)
-
-
 def class_lit_subset(a: ClassLit, b: ClassLit) -> bool:
     """Ground inclusion lattice extended with the premise classes D<k>
     (between level k-1 and level k) and negation congruence."""
@@ -212,15 +183,25 @@ def _bounded(f: Formula) -> tuple[str, str, Term, Formula] | None:
     return None
 
 
+_DML = principle("DML")
+_DNE = principle("DNE")
+
+
 def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
     """Best class of a formula built from a prenex core with bounded
     quantifiers and negations, relative to a theory given as a set of
-    ground principle-node strings (e.g. {"DML:S1", "DNE:S0"}).
+    ground principle nodes (e.g. {"DML:S1", "DNE:S0"}).
 
-    The theory is used literally; close it under derivability first if
-    subsumed principles should count.
+    Nodes may be spelled any way the node grammar allows (diagonal sugar,
+    P0 for S0, symmetric arguments in either order); only their canonical
+    forms count.  An unknown or malformed node raises ValueError.
     """
-    t = frozenset(theory)
+    t = frozenset(map(canonical_node, theory))
+
+    def assumes(pid, k: int) -> bool:
+        """The theory contains the principle at Sigma k in every argument
+        (vacuously when k < 0: the class is empty)."""
+        return k < 0 or str(Node(pid, (ClassLit(0, "S", k),) * pid.arity)) in t
 
     def go(g: Formula) -> HClass:
         try:
@@ -235,16 +216,14 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
             if kind == "E":
                 if c.polarity == SIGMA:
                     return HClass(SIGMA, max(k, 1))
-                if f"DML:S{k}" in t and f"DNE:S{k - 1}" in t:
+                if assumes(_DML, k) and assumes(_DNE, k - 1):
                     return HClass(PI, k)
                 return HClass(SIGMA, k + 1)
             if c.polarity == PI and k >= 1:
                 return HClass(PI, k)
             if k == 0:
                 return HClass(PI, 1)
-            if k >= 2 and f"DML:S{k - 1}" in t and f"DNE:S{k - 2}" in t:
-                return HClass(SIGMA, k)
-            if k == 1 and f"DML:S0" in t:
+            if assumes(_DML, k - 1) and assumes(_DNE, k - 2):
                 return HClass(SIGMA, k)
             return HClass(PI, k + 1)
         if is_negation(g):
@@ -252,9 +231,9 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
             k = c.level
             if k == 0:
                 return HClass(SIGMA, 0)
-            if c.polarity == SIGMA and f"DNE:S{k - 1}" in t:
+            if c.polarity == SIGMA and assumes(_DNE, k - 1):
                 return HClass(PI, k)
-            if c.polarity == PI and f"DNE:S{k}" in t:
+            if c.polarity == PI and assumes(_DNE, k):
                 return HClass(SIGMA, k)
             raise Unclassifiable(g)
         if isinstance(g, Exists):

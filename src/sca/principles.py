@@ -1,15 +1,10 @@
 """Catalog of the restricted classical principle schemas and a generator
 producing concrete formula instances.
 
-A schema is identified by a family (LEM, DNE, ...), a variant tag
-(Plain, or the DeltaSigma/DeltaPi superscript forms that dualize one
-side of an equivalence premise), and an arity of class arguments.  Class
-arguments are ground class literals; a "D" argument carries an
+Class arguments are ground class literals; a "D" argument carries an
 equivalence premise and takes two witnesses, and an "n"/"nn" prefix
-applies the schema to the (doubly) negated witness.
-
-Node text syntax: "FAMILY[:VARIANT]:CLASS[:CLASS2]", e.g. "DNE:S1",
-"DML:S2:P2", "LEM:DPI:D1", "DNEOR:P2:P2".
+applies the schema to the (doubly) negated witness.  The catalog and the
+node text syntax are defined in the nodes module.
 """
 
 from __future__ import annotations
@@ -21,9 +16,9 @@ from .duality import dual
 from .formulas import (
     And, Exists, Forall, Formula, Iff, Imp, Lt, Not, Or, Var, free_vars,
 )
-from .hierarchy import (
-    ClassLit, HClass, class_subset, format_class_literal, parse_class_literal,
-    relative_classify,
+from .hierarchy import ClassLit, HClass, class_subset, relative_classify
+from .nodes import (
+    CATALOG, DELTA_PI, DELTA_SIGMA, PLAIN, ArityMismatch, Node, PrincipleId,
 )
 
 __all__ = [
@@ -32,13 +27,6 @@ __all__ = [
     "catalog", "instantiate", "node_of", "parse_node",
     "ClassMismatch", "SideConditionViolated", "ArityMismatch",
 ]
-
-PLAIN = "Plain"
-DELTA_SIGMA = "DeltaSigma"
-DELTA_PI = "DeltaPi"
-
-_VARIANT_TAGS = {PLAIN: "", DELTA_SIGMA: "DSI", DELTA_PI: "DPI"}
-_TAG_VARIANTS = {"DSI": DELTA_SIGMA, "DPI": DELTA_PI}
 
 
 class ClassMismatch(ValueError):
@@ -54,17 +42,6 @@ class SideConditionViolated(ValueError):
     pass
 
 
-class ArityMismatch(ValueError):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PrincipleId:
-    family: str
-    variant: str
-    arity: int
-
-
 @dataclass(frozen=True, slots=True)
 class PrincipleInstance:
     id: PrincipleId
@@ -73,88 +50,25 @@ class PrincipleInstance:
     rendered: Formula
 
 
-_CATALOG: list[tuple[PrincipleId, str]] = [
-    (PrincipleId("LEM", PLAIN, 1), "phi \\/ ~phi"),
-    (PrincipleId("LEM", DELTA_SIGMA, 1), "(phi <-> psi) -> phi \\/ dual(phi)"),
-    (PrincipleId("LEM", DELTA_PI, 1), "(phi <-> psi) -> psi \\/ dual(psi)"),
-    (PrincipleId("DNE", PLAIN, 1), "~~phi -> phi"),
-    (PrincipleId("DNS", PLAIN, 1), "A x. ~~phi -> ~~A x. phi"),
-    (PrincipleId("DML", PLAIN, 2), "~(phi /\\ psi) -> ~phi \\/ ~psi"),
-    (PrincipleId("CD", PLAIN, 2),
-     "A x. (phi \\/ psi) -> phi \\/ A x. psi, with x not free in phi"),
-    (PrincipleId("COLL", PLAIN, 1),
-     "A w. E y < x. A z < w. phi -> E y < x. A z. phi"),
-    (PrincipleId("LN", PLAIN, 1),
-     "E x. phi -> E x. (phi /\\ A y < x. ~phi(y))"),
-    (PrincipleId("PEIRCE", PLAIN, 1), "((phi -> psi) -> phi) -> phi"),
-    (PrincipleId("DUAL", PLAIN, 1), "~phi -> dual(phi)"),
-    (PrincipleId("DUAL", DELTA_SIGMA, 1), "(phi <-> psi) -> (~phi -> dual(phi))"),
-    (PrincipleId("DUAL", DELTA_PI, 1), "(phi <-> psi) -> (~psi -> dual(psi))"),
-    (PrincipleId("WDUAL", PLAIN, 1), "~dual(phi) -> ~~phi"),
-    (PrincipleId("WDUAL", DELTA_SIGMA, 1), "(phi <-> psi) -> (~dual(phi) -> ~~phi)"),
-    (PrincipleId("WDUAL", DELTA_PI, 1), "(phi <-> psi) -> (~dual(psi) -> ~~psi)"),
-    (PrincipleId("LEMBOT", PLAIN, 1), "phi \\/ dual(phi)"),
-    (PrincipleId("DMLBOT", PLAIN, 2), "~(phi /\\ psi) -> dual(phi) \\/ dual(psi)"),
-    (PrincipleId("DMLBOT", DELTA_SIGMA, 2),
-     "(phi <-> phi') -> (~(phi /\\ psi) -> dual(phi) \\/ dual(psi))"),
-    (PrincipleId("DMLBOT", DELTA_PI, 2),
-     "(phi <-> phi') -> (~(phi /\\ psi) -> dual(phi') \\/ dual(psi))"),
-    (PrincipleId("DNEOR", PLAIN, 2), "~~(phi \\/ psi) -> phi \\/ psi"),
-]
-
-_FAMILIES = {pid.family for pid, _ in _CATALOG}
-
-
 def catalog() -> list[tuple[PrincipleId, str]]:
     """The full fixed catalog of (id, schema description) pairs."""
-    return list(_CATALOG)
-
-
-def _lookup(family: str, variant: str) -> PrincipleId:
-    for pid, _desc in _CATALOG:
-        if pid.family == family and pid.variant == variant:
-            return pid
-    raise ArityMismatch(f"no such principle: {family} variant {variant}")
+    return list(CATALOG)
 
 
 # ---------------------------------------------------------------------------
 # Node text
 
 def node_of(pid: PrincipleId, class_args: Sequence[ClassLit]) -> str:
-    """The derivability-graph node naming this principle at these classes."""
-    if len(class_args) != pid.arity:
-        raise ArityMismatch(
-            f"{pid.family} takes {pid.arity} class argument(s), got {len(class_args)}")
-    parts = [pid.family]
-    tag = _VARIANT_TAGS[pid.variant]
-    if tag:
-        parts.append(tag)
-    parts.extend(format_class_literal(c) for c in class_args)
-    return ":".join(parts)
+    """The derivability-graph node naming this principle at these classes,
+    with the arguments in the order given."""
+    return str(Node(pid, tuple(class_args)))
 
 
 def parse_node(text: str) -> tuple[PrincipleId, tuple[ClassLit, ...]]:
     """Inverse of node_of; a single class argument on a binary de Morgan
     family abbreviates the diagonal (both arguments equal)."""
-    parts = text.split(":")
-    family = parts[0]
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown principle family: {family!r}")
-    rest = parts[1:]
-    variant = PLAIN
-    if rest and rest[0] in _TAG_VARIANTS:
-        variant = _TAG_VARIANTS[rest[0]]
-        rest = rest[1:]
-    if not rest:
-        raise ValueError(f"node {text!r} has no class arguments")
-    args = tuple(parse_class_literal(p) for p in rest)
-    pid = _lookup(family, variant)
-    if len(args) == 1 and pid.arity == 2:
-        args = (args[0], args[0])
-    if len(args) != pid.arity:
-        raise ArityMismatch(
-            f"{family} takes {pid.arity} class argument(s), got {len(args)}")
-    return pid, args
+    node = Node.parse(text)
+    return node.pid, node.args
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +131,9 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
     arbitrary formula for PEIRCE.  Witness classes are checked with
     relative_classify over the base theory alone.
     """
-    if pid not in {p for p, _ in _CATALOG}:
+    if pid not in {p for p, _ in CATALOG}:
         raise ArityMismatch(f"not in the catalog: {pid}")
-    if len(class_args) != pid.arity:
-        raise ArityMismatch(
-            f"{pid.family} takes {pid.arity} class argument(s), got {len(class_args)}")
+    node = node_of(pid, class_args)
 
     if pid.variant != PLAIN and class_args and class_args[0].kind != "D":
         raise ArityMismatch(
@@ -231,7 +143,7 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
                 + (1 if pid.family == "PEIRCE" else 0))
     if len(witnesses) != expected:
         raise ArityMismatch(
-            f"{node_of(pid, class_args)} takes {expected} witness(es), got {len(witnesses)}")
+            f"{node} takes {expected} witness(es), got {len(witnesses)}")
 
     slots = []
     offset = 0

@@ -4,10 +4,25 @@ byte stability."""
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from sca.cli import run
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _module_run(*argv):
+    """Run `python -m sca.cli` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "sca.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def _run(capsys, *argv):
@@ -46,6 +61,11 @@ class TestRelclassify:
         code, out, _ = _run(capsys, "relclassify", "~(E x. (x = y))",
                             "--theory", "DNE:S0")
         assert code == 0 and out == "Pi 1\n"
+
+    def test_unknown_node_is_domain_error(self, capsys):
+        code, _, err = _run(capsys, "relclassify", "~(E x. (x = y))",
+                            "--theory", "FOO:S1")
+        assert code == 1 and "unknown principle family" in err
 
 
 class TestInstantiate:
@@ -99,6 +119,21 @@ class TestVerifyRules:
         path.write_text(json.dumps(bad))
         code, out, _ = _run(capsys, "verify-rules", "--rulebase", str(path))
         assert code == 1 and "failed: 1" in out
+
+    @pytest.mark.parametrize("data, named", [
+        ({"rules": [1]}, "rule entry 0"),
+        ({"rules": [{"id": "r1", "premises": [],
+                     "cite": {"ref": "Fact 2.2", "quote": "q"}}]}, "rule r1"),
+        ({"rules": [], "separations": [{"id": "s1", "theory": [],
+                                        "cite": {"ref": "Fact 2.2", "quote": "q"}}]},
+         "separation s1"),
+    ])
+    def test_malformed_entry_named(self, capsys, tmp_path, data, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _, err = _run(capsys, "closure", "--base", "", "--kmax", "1",
+                            "--rulebase", str(path))
+        assert code == 1 and named in err
 
     def test_env_var_override(self, capsys, tmp_path, monkeypatch):
         empty = {"rules": [], "inclusions": [], "separations": []}
@@ -184,3 +219,20 @@ class TestUsage:
         a = _run(capsys, "--json", "equiv", "LEM:S0", "--kmax", "2")
         b = _run(capsys, "--json", "equiv", "LEM:S0", "--kmax", "2")
         assert a == b
+
+
+class TestProcess:
+    def test_module_mode(self):
+        proc = _module_run("classify", "A x. (x = x)")
+        assert proc.returncode == 0 and proc.stdout == "Pi 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "~" * 3000 + "(x = 0)"],
+        ["ipc", "~" * 3000 + "p"],
+        ["classify", "(" * 3000 + "x = 0" + ")" * 3000],
+    ])
+    def test_deep_input_is_domain_error(self, argv):
+        proc = _module_run(*argv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr

@@ -3,7 +3,9 @@ verification, and figure export."""
 
 from __future__ import annotations
 
+import pathlib
 import random
+import runpy
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,12 @@ class TestLoadRulebase:
         with pytest.raises(SchemaError):
             load_rulebase("[]")
 
+    def test_generator_reproduces_shipped_file(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        tool = runpy.run_path(str(root / "tools" / "make_rulebase.py"))
+        shipped = (root / "src" / "sca" / "data" / "rulebase.json").read_bytes()
+        assert tool["render"]().encode("utf-8") == shipped
+
 
 class TestCanonicalNode:
     def test_diagonal_sugar(self):
@@ -111,6 +119,10 @@ class TestClosure:
         small = closure(TheoryContext.make({"LEM:P2"}, 3), rb)
         large = closure(TheoryContext.make({"LEM:P2", "DNE:S2"}, 3), rb)
         assert small <= large
+
+    def test_context_spelling_independent(self, rb):
+        spelled = closure(TheoryContext(frozenset({"DML:S1", "DNE:P0"}), 3), rb)
+        assert spelled == closure(TheoryContext.make({"DML:S1:S1", "DNE:S0"}, 3), rb)
 
     def test_idempotent(self, rb):
         once = closure(TheoryContext.make({"DML:S2"}, 3), rb)

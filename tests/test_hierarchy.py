@@ -7,15 +7,20 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sca.formulas import cantor_pair, eval_bounded, parse
-from sca.hierarchy import (
-    HClass, NotPrenex, class_lit_subset, class_subset, classify_prenex,
-    format_class_literal, parse_class_literal, prenex_merge,
-    relative_classify,
+from sca.derivability import TheoryContext, closure
+from sca.formulas import (
+    And, Exists, Forall, Imp, Lt, Not, Var, cantor_pair, eval_bounded, parse,
 )
-from tests.conftest import prenex, qfree
+from sca.hierarchy import (
+    ClassLit, HClass, NotPrenex, Unclassifiable, class_lit_subset,
+    class_subset, classify_prenex, format_class_literal, parse_class_literal,
+    prenex_merge, relative_classify,
+)
+from sca.principles import catalog, node_of
+from tests.conftest import VAR_POOL, prenex, qfree
 
 ALL_CLASSES = [HClass(p, k) for p in ("Sigma", "Pi") for k in range(7)]
 
@@ -144,6 +149,91 @@ class TestRelativeClassify:
     @settings(max_examples=60)
     def test_quantifier_free_is_sigma0(self, f):
         assert relative_classify(f) == HClass("Sigma", 0)
+
+    def test_closure_of_theory_keeps_the_collapse(self, rb):
+        f = parse("E y < x. A z. (z = y)")
+        theory = {"DML:S1", "DNE:S0"}
+        closed = closure(TheoryContext.make(theory, 3), rb)
+        assert relative_classify(f, theory) == HClass("Pi", 1)
+        assert relative_classify(f, closed) == HClass("Pi", 1)
+
+    def test_p0_spelling_of_dne(self):
+        f = parse("~ (E x. (x = y))")
+        assert relative_classify(f, ["DNE:P0"]) == HClass("Pi", 1)
+
+    def test_unknown_node_rejected(self):
+        with pytest.raises(ValueError):
+            relative_classify(parse("x = 0"), ["FOO:S1"])
+
+
+# Catalog nodes at levels <= 1, spelled in random ways: P0 for S0, the
+# diagonal sugar, and swapped arguments of the symmetric families.  DML
+# and DNE at Sigma levels are drawn often because the collapses use them.
+_PIDS = [pid for pid, _ in catalog()]
+_COLLAPSE_PIDS = [pid for pid in _PIDS
+                  if pid.family in ("DML", "DNE") and pid.variant == "Plain"]
+
+
+@st.composite
+def spelled_nodes(draw):
+    if draw(st.integers(0, 2)):
+        pid = draw(st.sampled_from(_COLLAPSE_PIDS))
+        lits = [ClassLit(0, "S", draw(st.integers(0, 1)))] * pid.arity
+    else:
+        pid = draw(st.sampled_from(_PIDS))
+        lits = [ClassLit(draw(st.integers(0, 2)), draw(st.sampled_from("SPD")),
+                         draw(st.integers(0, 1)))
+                for _ in range(pid.arity)]
+    lits = [ClassLit(c.neg, draw(st.sampled_from("SP")), 0)
+            if c.kind != "D" and c.level == 0 else c for c in lits]
+    if pid.family in ("DML", "DMLBOT", "DNEOR") and draw(st.booleans()):
+        lits.reverse()
+    text = node_of(pid, lits)
+    if len(lits) == 2 and lits[0] == lits[1] and draw(st.booleans()):
+        text = node_of(pid, lits[:1] * 2).rsplit(":", 1)[0]
+    return text
+
+
+@st.composite
+def bounded_mixed(draw, depth: int = 5):
+    """Negations, bounded and unbounded quantifiers over a
+    quantifier-free core."""
+    if depth == 0 or draw(st.integers(0, 5)) == 0:
+        return draw(qfree(depth=1))
+    body = draw(bounded_mixed(depth=depth - 1))
+    v = draw(st.sampled_from(VAR_POOL))
+    bound = Var(draw(st.sampled_from(("a", "b"))))
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return Not(body)
+    if kind <= 2:
+        return Exists(v, And(Lt(Var(v), bound), body))
+    if kind == 3:
+        return Forall(v, Imp(Lt(Var(v), bound), body))
+    return (Exists if kind == 4 else Forall)(v, body)
+
+
+def _rel(f, theory):
+    try:
+        return relative_classify(f, theory)
+    except Unclassifiable:
+        return None
+
+
+class TestSpellingIndependence:
+    @given(f=bounded_mixed(), theory=st.lists(spelled_nodes(), max_size=4),
+           extra=spelled_nodes())
+    @example(f=parse("E y < a. A z. (z = y)"), theory=["DML:S1", "DNE:S0"],
+             extra="DNE:P0")
+    @settings(max_examples=100, deadline=None)
+    def test_larger_theory_never_weaker(self, f, theory, extra, rb):
+        base = _rel(f, theory)
+        if base is None:
+            return
+        closed = closure(TheoryContext.make(theory, 3), rb)
+        for larger in (theory + [extra], closed):
+            got = _rel(f, larger)
+            assert got is not None and class_subset(got, base), (larger, got, base)
 
 
 class TestClassLiterals:

@@ -844,23 +844,29 @@ INCLUSIONS = sorted([
 ])
 
 
-def main():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    out = root / "src" / "sca" / "data" / "rulebase.json"
+def render():
+    """The text of the rule base file."""
     data = {
         "rules": RULES,
         "inclusions": INCLUSIONS,
         "separations": SEPARATIONS,
     }
+    return json.dumps(data, indent=1) + "\n"
+
+
+def main():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    out = root / "src" / "sca" / "data" / "rulebase.json"
+    text = render()
     sys.path.insert(0, str(root / "src"))
     from sca import derivability, ipc
-    rb = derivability.load_rulebase(data)
+    rb = derivability.load_rulebase(text)
     report = derivability.verify_rulebase(rb)
     bad = [rid for rid, st in report.statuses if st == ipc.FAILED]
     if bad:
         raise SystemExit(f"skeleton verification failed for: {bad}")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+    out.write_text(text, encoding="utf-8")
     print(f"wrote {out}: {len(RULES)} rules, {len(SEPARATIONS)} "
           f"separations, {report.verified} verified propositionally")
 
