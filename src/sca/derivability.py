@@ -4,9 +4,11 @@ restricted classical principles.
 A rule base is JSON data: level-parametric rules (patterns over a single
 level variable k, e.g. "DNE:S(k-1)"), cited separation facts, and the
 list of families whose nodes are monotone in their class arguments.
-Closure is a least fixpoint of forward chaining over all ground
-instantiations of k up to a level cap; queries answer with a replayable
-chain, a citation-backed separation, or Unknown.
+Each level cap has one ground program, built on first use: every rule
+instance for k up to the cap, indexed by its premises, and every ground
+separation fact.  Closure is its least fixpoint, computed by one worklist
+that queues what each arriving node makes derivable; queries answer with
+a replayable chain, a citation-backed separation, or Unknown.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 import json
 import random
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -87,24 +90,16 @@ class RuleBase:
     rules: tuple[Rule, ...]
     separations: tuple[SeparationFact, ...]
     inclusions: frozenset[str]
-    _ground_cache: dict = field(default_factory=dict, repr=False)
+    _programs: dict = field(default_factory=dict, repr=False)
 
 
 _GUARD_RE = re.compile(r"^k(>=|==)(\d+)$")
 
 
-def _guard_ok(guard: str | None, k: int) -> bool:
-    if not guard:
-        return True
-    m = _GUARD_RE.match(guard.replace(" ", ""))
-    if not m:
-        raise SchemaError(f"bad guard: {guard!r}")
-    op, n = m.group(1), int(m.group(2))
-    return k >= n if op == ">=" else k == n
-
-
-def _entry(raw, what: str, index: int, required: str, seen: set) -> tuple[str, dict]:
-    """Id and citation of a rule or separation entry, checked for shape."""
+def _entry(raw, what: str, index: int, required: str,
+           seen: set) -> tuple[str, dict, str | None]:
+    """Id, citation and guard of a rule or separation entry, checked for
+    shape."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{what} entry {index} is not an object: {raw!r}")
     eid = raw.get("id")
@@ -116,7 +111,21 @@ def _entry(raw, what: str, index: int, required: str, seen: set) -> tuple[str, d
     cite = raw.get("cite") or {}
     if not isinstance(cite, dict) or not cite.get("ref") or not cite.get("quote"):
         raise MissingCitation(f"{what} {eid} lacks a citation ref/quote")
-    return eid, dict(cite)
+    guard = raw.get("guard")
+    if guard not in (None, "") and not (
+            isinstance(guard, str) and _GUARD_RE.match(guard.replace(" ", ""))):
+        raise SchemaError(f"{what} {eid}: bad guard: {guard!r}")
+    return eid, dict(cite), guard
+
+
+def _patterns(texts, where: str) -> tuple[NodePat, ...]:
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise SchemaError(f"{where}: node patterns must be a list of strings, "
+                          f"not {texts!r}")
+    try:
+        return tuple(map(parse_pattern, texts))
+    except SchemaError as e:
+        raise type(e)(f"{where}: {e}") from None
 
 
 def load_rulebase(src) -> RuleBase:
@@ -127,40 +136,36 @@ def load_rulebase(src) -> RuleBase:
         data = src
     if not isinstance(data, dict) or "rules" not in data:
         raise SchemaError("rule base must be an object with a 'rules' key")
-    for key in ("rules", "separations"):
+    for key in ("rules", "separations", "inclusions"):
         if not isinstance(data.get(key, []), list):
             raise SchemaError(f"rule base {key!r} must be a list")
 
     rules = []
     seen: set[str] = set()
     for i, raw in enumerate(data["rules"]):
-        rid, cite = _entry(raw, "rule", i, "conclusion", seen)
+        rid, cite, guard = _entry(raw, "rule", i, "conclusion", seen)
         verify = raw.get("verify") or {"kind": "first-order"}
         if not isinstance(verify, dict) or verify.get("kind") not in (
                 "propositional", "first-order"):
             raise SchemaError(f"rule {rid}: bad verify kind")
         if verify["kind"] == "propositional" and not verify.get("skeleton"):
             raise SchemaError(f"rule {rid}: propositional rule without skeleton")
-        prem = tuple(parse_pattern(p) for p in raw.get("premises", ()))
-        concl = parse_pattern(raw["conclusion"])
-        guard = raw.get("guard")
-        _guard_ok(guard, 0)
+        prem = _patterns(raw.get("premises", []), f"rule {rid}")
+        (concl,) = _patterns([raw["conclusion"]], f"rule {rid}")
         rules.append(Rule(rid, prem, concl, guard, cite, dict(verify)))
 
     seps = []
     for i, raw in enumerate(data.get("separations", ())):
-        fid, cite = _entry(raw, "separation", i, "unprovable", seen)
-        theory = tuple(parse_pattern(p) for p in raw.get("theory", ()))
-        unprov = parse_pattern(raw["unprovable"])
-        guard = raw.get("guard")
-        _guard_ok(guard, 0)
+        fid, cite, guard = _entry(raw, "separation", i, "unprovable", seen)
+        theory = _patterns(raw.get("theory", []), f"separation {fid}")
+        (unprov,) = _patterns([raw["unprovable"]], f"separation {fid}")
         seps.append(SeparationFact(fid, theory, unprov, guard, cite))
 
-    incl = frozenset(data.get("inclusions", MONOTONE_FAMILIES))
+    incl = data.get("inclusions", MONOTONE_FAMILIES)
     for fam in incl:
-        if fam not in FAMILIES:
+        if not isinstance(fam, str) or fam not in FAMILIES:
             raise UnknownFamily(f"unknown family in inclusions: {fam!r}")
-    return RuleBase(tuple(rules), tuple(seps), incl)
+    return RuleBase(tuple(rules), tuple(seps), frozenset(incl))
 
 
 def load_default_rulebase() -> RuleBase:
@@ -209,29 +214,46 @@ class Unknown:
 # ---------------------------------------------------------------------------
 # Closure
 
-def _ground_rules(rb: RuleBase, k_max: int):
-    """All ground instances (rule id, premise texts, conclusion text,
-    conclusion node, conclusion level) for k in 0..k_max; instances with a
-    node above k_max are kept as clamp markers (conclusion None)."""
-    key = k_max
-    if key in rb._ground_cache:
-        return rb._ground_cache[key]
-    out = []
-    for rule in rb.rules:
-        for k in range(k_max + 1):
-            if not _guard_ok(rule.guard, k):
-                continue
-            prems = [p.at(k) for p in rule.premises]
-            concl = rule.conclusion.at(k)
-            if concl is None or any(p is None for p in prems):
-                continue
-            texts = tuple(map(str, prems))
-            if concl.level > k_max or any(p.level > k_max for p in prems):
-                out.append((rule.rule_id, texts, None, None, concl.level))
-            else:
-                out.append((rule.rule_id, texts, str(concl), concl, concl.level))
-    rb._ground_cache[key] = out
-    return out
+def _ground(pats: tuple[NodePat, ...], guard: str | None, k: int) -> list[Node] | None:
+    """The nodes of the patterns at level k; None when the guard excludes
+    k or a class goes below level 0."""
+    if guard:
+        op, n = _GUARD_RE.match(guard.replace(" ", "")).groups()
+        if (k < int(n)) if op == ">=" else (k != int(n)):
+            return None
+    nodes = [p.at(k) for p in pats]
+    return None if any(n is None for n in nodes) else nodes
+
+
+def _program(rb: RuleBase, k_max: int):
+    """The ground program of the rule base at a level cap, built once.
+
+    Returns (watch, facts).  watch maps each premise text to the rule
+    instances (rule id, premise texts, conclusion text, conclusion node)
+    that have it, and None to the premise-free instances; an instance
+    with a node above k_max is a clamp marker (conclusion text None).
+    facts lists every separation fact's ground (fact, k, theory texts,
+    unprovable text) within the cap, in file order.
+    """
+    if k_max not in rb._programs:
+        watch: dict[str | None, list[tuple]] = {}
+        facts = []
+        for rule, k in itertools.product(rb.rules, range(k_max + 1)):
+            ground = _ground(rule.premises + (rule.conclusion,), rule.guard, k)
+            if ground is not None:
+                *prems, concl = ground
+                texts = tuple(map(str, prems))
+                clamp = any(g.level > k_max for g in ground)
+                inst = (rule.rule_id, texts, None if clamp else str(concl), concl)
+                for p in dict.fromkeys(texts) or (None,):
+                    watch.setdefault(p, []).append(inst)
+        for fact, k in itertools.product(rb.separations, range(k_max + 1)):
+            ground = _ground(fact.theory + (fact.unprovable,), fact.guard, k)
+            if ground is not None and all(g.level <= k_max for g in ground):
+                *theory, unprov = map(str, ground)
+                facts.append((fact, k, tuple(theory), unprov))
+        rb._programs[k_max] = (watch, facts)
+    return rb._programs[k_max]
 
 
 def _weaker_nodes(node: Node, incl: frozenset[str]) -> list[str]:
@@ -250,48 +272,42 @@ def _weaker_nodes(node: Node, incl: frozenset[str]) -> list[str]:
 
 def _closure_detail(assumed: frozenset[str], rb: RuleBase, k_max: int,
                     rng: random.Random | None = None):
-    """Least fixpoint with provenance.
+    """Least fixpoint with provenance, by one worklist over the ground
+    program: each arriving node queues its weaker nodes and every rule
+    instance whose premises it completes.  rng, when given, picks which
+    queued step is taken next; the fixpoint does not depend on it.
 
     Returns (nodes, steps, clamped_levels): steps maps each derived node
-    to the (rule_id, premises, node) step that first added it;
-    clamped_levels collects conclusion levels that were cut off at k_max.
+    to the (rule_id, premises, node) step that first added it, in the
+    order they were added; clamped_levels collects conclusion levels that
+    were cut off at k_max.
     """
-    instances = list(_ground_rules(rb, k_max))
-    if rng is not None:
-        instances = instances[:]
-        rng.shuffle(instances)
-    nodes: set[str] = set(assumed)
-    # Nodes whose weaker nodes are still to be added.  A node added by a
-    # monotonicity step never is: its weaker nodes are its source's.
-    unexpanded = {n: Node.parse(n) for n in assumed}
+    watch, _facts = _program(rb, k_max)
+    todo = deque([(None, (), n, Node.parse(n)) for n in sorted(assumed)])
+    todo.extend(watch.get(None, ()))
+    nodes: set[str] = set()
     steps: dict[str, tuple] = {}
     clamped: set[int] = set()
-
-    def add(node, rid, prems):
-        nodes.add(node)
-        steps[node] = (rid, tuple(prems), node)
-
-    changed = True
-    while changed:
-        changed = False
-        for n in list(nodes):
-            node = unexpanded.pop(n, None)
-            if node is None:
-                continue
-            for w in _weaker_nodes(node, rb.inclusions):
-                if w not in nodes:
-                    add(w, f"mono:{node.pid.family}", (n,))
-                    changed = True
-        for rid, prems, concl, node, lvl in instances:
-            if concl is not None and concl in nodes:
-                continue
-            if all(p in nodes for p in prems):
-                if concl is None:
-                    clamped.add(lvl)
-                else:
-                    add(concl, rid, prems)
-                    unexpanded[concl] = node
-                    changed = True
+    while todo:
+        if rng is not None:
+            todo.rotate(rng.randrange(len(todo)))
+        rid, prems, n, node = todo.popleft()
+        if n is None:
+            clamped.add(node.level)
+            continue
+        if n in nodes:
+            continue
+        nodes.add(n)
+        if rid is not None:
+            steps[n] = (rid, prems, n)
+        # A node added by a monotonicity step (node None) is not expanded:
+        # its weaker nodes are its source's.
+        if node is not None:
+            mono = f"mono:{node.pid.family}"
+            todo.extend((mono, (n,), w, None)
+                        for w in _weaker_nodes(node, rb.inclusions) if w not in nodes)
+        todo.extend(inst for inst in watch.get(n, ())
+                    if all(p in nodes for p in inst[1]))
     return frozenset(nodes), steps, clamped
 
 
@@ -299,58 +315,41 @@ def closure(ctx: TheoryContext, rb: RuleBase,
             rng: random.Random | None = None) -> frozenset[str]:
     """The set of ground principle nodes derivable over HA from the
     assumed nodes, up to level k_max.  Deterministic: the least fixpoint
-    does not depend on the rule firing order."""
+    does not depend on the order the worklist takes its steps in."""
     nodes, _steps, _clamped = _closure_detail(ctx.assumed, rb, ctx.k_max, rng)
     return nodes
 
 
-def _chain_for(goal: str, assumed: frozenset[str], steps: dict) -> list:
-    chain = []
-    done = set(assumed)
-
-    def visit(node):
-        if node in done:
-            return
-        done.add(node)
-        rid, prems, concl = steps[node]
-        for p in prems:
-            visit(p)
-        chain.append((rid, prems, concl))
-
-    visit(goal)
-    return chain
-
-
 def query(ctx: TheoryContext, goal: str, rb: RuleBase):
     """Derivable with a replayable chain, a cited Separated answer, or
-    Unknown (with a boundary warning when the level cap interfered)."""
+    Unknown (with a boundary warning when the level cap interfered).
+
+    The chain lists the steps the goal needs in the order the fixpoint
+    added them."""
     goal_node = Node.parse(goal).canonical()
     goal = str(goal_node)
     if goal_node.level > ctx.k_max:
         raise LevelOutOfRange(f"{goal} exceeds k_max={ctx.k_max}")
     nodes, steps, clamped = _closure_detail(ctx.assumed, rb, ctx.k_max)
     if goal in nodes:
-        return Derivable(_chain_for(goal, ctx.assumed, steps))
+        needed, chain = {goal}, []
+        for step in reversed(steps.values()):
+            if step[2] in needed:
+                chain.append(step)
+                needed.update(step[1])
+        return Derivable(chain[::-1])
 
     ctx_with_goal = ctx.assumed | {goal}
     nodes_with_goal, _s, _c = _closure_detail(ctx_with_goal, rb, ctx.k_max)
-    for fact in rb.separations:
-        for k in range(ctx.k_max + 1):
-            if not _guard_ok(fact.guard, k):
-                continue
-            ground = [p.at(k) for p in fact.theory + (fact.unprovable,)]
-            if any(g is None or g.level > ctx.k_max for g in ground):
-                continue
-            *theory, unprov = map(str, ground)
-            theory_closure, _s2, _c2 = _closure_detail(
-                frozenset(theory), rb, ctx.k_max)
-            if nodes <= theory_closure and unprov in nodes_with_goal:
-                return Separated(fact.fact_id, {
-                    "k": k,
-                    "theory": tuple(theory),
-                    "unprovable": unprov,
-                    "cite": dict(fact.cite),
-                })
+    for fact, k, theory, unprov in _program(rb, ctx.k_max)[1]:
+        if unprov in nodes_with_goal and nodes <= _closure_detail(
+                frozenset(theory), rb, ctx.k_max)[0]:
+            return Separated(fact.fact_id, {
+                "k": k,
+                "theory": theory,
+                "unprovable": unprov,
+                "cite": dict(fact.cite),
+            })
 
     involved = {node_level(n) for n in ctx_with_goal}
     warning = any(abs(lvl - m) <= 2 for lvl in clamped for m in involved)

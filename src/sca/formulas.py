@@ -19,8 +19,8 @@ __all__ = [
     "Not", "Iff", "is_negation", "negand",
     "parse", "parse_term", "format_formula", "format_term",
     "free_vars", "term_vars", "all_names", "fresh_name",
-    "substitute", "substitute_term", "alpha_equal",
-    "collapse_atom_negations", "eval_bounded", "eval_term",
+    "substitute", "substitute_term", "alpha_normal", "alpha_equal",
+    "bounded_sugar", "collapse_atom_negations", "eval_bounded", "eval_term",
     "cantor_pair", "cantor_fst", "cantor_snd",
     "ParseError", "UnboundedQuantifier", "MissingAssignment",
 ]
@@ -422,16 +422,12 @@ def format_term(t: Term, prec: int = 0) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _bounded_exists(f: Formula) -> tuple[Term, Formula] | None:
-    if isinstance(f, Exists) and isinstance(f.body, And):
-        g = f.body.f1
-        if isinstance(g, Lt) and g.t1 == Var(f.var) and f.var not in term_vars(g.t2):
-            return g.t2, f.body.f2
-    return None
-
-
-def _bounded_forall(f: Formula) -> tuple[Term, Formula] | None:
-    if isinstance(f, Forall) and isinstance(f.body, Imp):
+def bounded_sugar(f: Formula) -> tuple[Term, Formula] | None:
+    """(bound, body) when f is a bounded quantifier in sugar form,
+    E x. (x < t /\\ body) or A x. (x < t -> body) with x not free in t;
+    None otherwise."""
+    connective = {Exists: And, Forall: Imp}.get(type(f))
+    if connective is not None and isinstance(f.body, connective):
         g = f.body.f1
         if isinstance(g, Lt) and g.t1 == Var(f.var) and f.var not in term_vars(g.t2):
             return g.t2, f.body.f2
@@ -467,7 +463,7 @@ def format_formula(f: Formula, prec: int = 0) -> str:
         return f"({s})" if prec > 3 else s
     if isinstance(f, (Exists, Forall)):
         q = "E" if isinstance(f, Exists) else "A"
-        sugar = _bounded_exists(f) if isinstance(f, Exists) else _bounded_forall(f)
+        sugar = bounded_sugar(f)
         if sugar is not None:
             bound, body = sugar
             s = f"{q} {f.var} < {format_term(bound)}. {format_formula(body, 1)}"
@@ -550,41 +546,36 @@ def substitute(f: Formula, v: str, r: Term) -> Formula:
     return type(f)(f.var, substitute(f.body, v, r))
 
 
-def _alpha(f: Formula, g: Formula, fenv: dict[str, int], genv: dict[str, int],
-           depth: int) -> bool:
-    if type(f) is not type(g):
-        return False
-    if isinstance(f, (Eq, Lt)):
-        return (_alpha_term(f.t1, g.t1, fenv, genv)
-                and _alpha_term(f.t2, g.t2, fenv, genv))
-    if isinstance(f, Bot):
-        return True
-    if isinstance(f, (And, Or, Imp)):
-        return (_alpha(f.f1, g.f1, fenv, genv, depth)
-                and _alpha(f.f2, g.f2, fenv, genv, depth))
-    fenv2 = dict(fenv)
-    genv2 = dict(genv)
-    fenv2[f.var] = depth
-    genv2[g.var] = depth
-    return _alpha(f.body, g.body, fenv2, genv2, depth + 1)
+def _rename_term(t: Term, env: Mapping[str, str]) -> Term:
+    if isinstance(t, Var):
+        return Var(env.get(t.name, t.name))
+    if isinstance(t, Zero):
+        return t
+    if isinstance(t, (Succ, Proj0, Proj1)):
+        return type(t)(_rename_term(t.t, env))
+    return type(t)(_rename_term(t.t1, env), _rename_term(t.t2, env))
 
 
-def _alpha_term(s: Term, t: Term, senv: dict[str, int], tenv: dict[str, int]) -> bool:
-    if type(s) is not type(t):
-        return False
-    if isinstance(s, Var):
-        return senv.get(s.name, s.name) == tenv.get(t.name, t.name)
-    if isinstance(s, Zero):
-        return True
-    if isinstance(s, (Succ, Proj0, Proj1)):
-        return _alpha_term(s.t, t.t, senv, tenv)
-    return (_alpha_term(s.t1, t.t1, senv, tenv)
-            and _alpha_term(s.t2, t.t2, senv, tenv))
+def alpha_normal(f: Formula) -> Formula:
+    """f with each bound variable renamed after its binding depth, to
+    "#0", "#1", ...: names no identifier can spell, so they never meet a
+    free variable.  Alpha-equivalent formulas have equal normal forms."""
+    def go(g: Formula, env: Mapping[str, str], depth: int) -> Formula:
+        if isinstance(g, (Eq, Lt)):
+            return type(g)(_rename_term(g.t1, env), _rename_term(g.t2, env))
+        if isinstance(g, Bot):
+            return g
+        if isinstance(g, (And, Or, Imp)):
+            return type(g)(go(g.f1, env, depth), go(g.f2, env, depth))
+        name = f"#{depth}"
+        return type(g)(name, go(g.body, {**env, g.var: name}, depth + 1))
+
+    return go(f, {}, 0)
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
     """Equality up to renaming of bound variables."""
-    return _alpha(f, g, {}, {}, 0)
+    return alpha_normal(f) == alpha_normal(g)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +630,7 @@ def eval_bounded(f: Formula, env: Mapping[str, int]) -> bool:
         return eval_bounded(f.f1, env) or eval_bounded(f.f2, env)
     if isinstance(f, Imp):
         return (not eval_bounded(f.f1, env)) or eval_bounded(f.f2, env)
-    sugar = _bounded_exists(f) if isinstance(f, Exists) else _bounded_forall(f)
+    sugar = bounded_sugar(f)
     if sugar is None:
         raise UnboundedQuantifier(format_formula(f))
     bound, body = sugar

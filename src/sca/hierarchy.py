@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .formulas import (
-    Add, And, Bot, Eq, Exists, Forall, Formula, Imp, Lt, Or, Proj0, Proj1,
-    Term, Var, all_names, format_formula, fresh_name, is_negation, negand,
-    substitute, term_vars,
+    And, Bot, Eq, Exists, Forall, Formula, Imp, Lt, Or, Proj0, Proj1, Var,
+    all_names, bounded_sugar, format_formula, fresh_name, is_negation,
+    negand, substitute,
 )
 from .nodes import (
     ClassLit, Node, canonical_node, format_class_literal, parse_class_literal,
@@ -170,19 +170,6 @@ def class_lit_subset(a: ClassLit, b: ClassLit) -> bool:
 # ---------------------------------------------------------------------------
 # Theory-relative classification
 
-def _bounded(f: Formula) -> tuple[str, str, Term, Formula] | None:
-    """Match bounded-quantifier sugar, returning (kind, var, bound, body)."""
-    if isinstance(f, Exists) and isinstance(f.body, And):
-        g = f.body.f1
-        if isinstance(g, Lt) and g.t1 == Var(f.var) and f.var not in term_vars(g.t2):
-            return "E", f.var, g.t2, f.body.f2
-    if isinstance(f, Forall) and isinstance(f.body, Imp):
-        g = f.body.f1
-        if isinstance(g, Lt) and g.t1 == Var(f.var) and f.var not in term_vars(g.t2):
-            return "A", f.var, g.t2, f.body.f2
-    return None
-
-
 _DML = principle("DML")
 _DNE = principle("DNE")
 
@@ -208,12 +195,11 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
             return classify_prenex(g)
         except NotPrenex:
             pass
-        b = _bounded(g)
+        b = bounded_sugar(g)
         if b is not None:
-            kind, _v, _bound, body = b
-            c = go(body).canonical()
+            c = go(b[1]).canonical()
             k = c.level
-            if kind == "E":
+            if isinstance(g, Exists):
                 if c.polarity == SIGMA:
                     return HClass(SIGMA, max(k, 1))
                 if assumes(_DML, k) and assumes(_DNE, k - 1):

@@ -378,28 +378,6 @@ _ATOM_BUDGET = 12
 _ATOM_NAMES = "abcdefghijkl"
 
 
-def _alpha_normal(f: Formula, env: dict[str, str], depth: int) -> Formula:
-    if isinstance(f, (fo.Eq, fo.Lt)):
-        return type(f)(_alpha_normal_term(f.t1, env), _alpha_normal_term(f.t2, env))
-    if isinstance(f, fo.Bot):
-        return f
-    if isinstance(f, (fo.And, fo.Or, fo.Imp)):
-        return type(f)(_alpha_normal(f.f1, env, depth), _alpha_normal(f.f2, env, depth))
-    env2 = dict(env)
-    env2[f.var] = f"_b{depth}"
-    return type(f)(env2[f.var], _alpha_normal(f.body, env2, depth + 1))
-
-
-def _alpha_normal_term(t, env: dict[str, str]):
-    if isinstance(t, fo.Var):
-        return fo.Var(env.get(t.name, t.name))
-    if isinstance(t, fo.Zero):
-        return t
-    if isinstance(t, (fo.Succ, fo.Proj0, fo.Proj1)):
-        return type(t)(_alpha_normal_term(t.t, env))
-    return type(t)(_alpha_normal_term(t.t1, env), _alpha_normal_term(t.t2, env))
-
-
 class SkeletonTable:
     """Shared atom table so several formulas can be skeletonized jointly;
     alpha-equivalent subformulas map to the same atom."""
@@ -408,7 +386,7 @@ class SkeletonTable:
         self._atoms: dict[Formula, str] = {}
 
     def _atom_for(self, f: Formula) -> PAtom:
-        key = _alpha_normal(f, {}, 0)
+        key = fo.alpha_normal(f)
         name = self._atoms.get(key)
         if name is None:
             if len(self._atoms) >= _ATOM_BUDGET:

@@ -16,9 +16,9 @@ from sca.cli import run
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def _module_run(*argv):
+def _module_run(*argv, **extra_env):
     """Run `python -m sca.cli` in a fresh interpreter."""
-    env = dict(os.environ)
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "sca.cli", *argv],
@@ -135,6 +135,26 @@ class TestVerifyRules:
                             "--rulebase", str(path))
         assert code == 1 and named in err
 
+    @pytest.mark.parametrize("data, named", [
+        ({"rules": [{"id": "r1", "conclusion": 1}]}, "rule r1"),
+        ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)", "guard": 5}]}, "rule r1"),
+        ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
+                     "premises": "LEM:S(k)"}]}, "rule r1"),
+        ({"rules": [{"id": "r1", "conclusion": "FOO:S(k)"}]}, "rule r1"),
+        ({"rules": [], "inclusions": 5}, "'inclusions'"),
+        ({"rules": [], "separations": [{"id": "s1", "theory": 7,
+                                        "unprovable": "DNE:S(k)"}]}, "separation s1"),
+    ])
+    def test_malformed_field_named(self, tmp_path, data, named):
+        for entry in data["rules"] + data.get("separations", []):
+            entry["cite"] = {"ref": "Fact 2.2", "quote": "q"}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        proc = _module_run("verify-rules", "--rulebase", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert named in proc.stderr and "Traceback" not in proc.stderr
+
     def test_env_var_override(self, capsys, tmp_path, monkeypatch):
         empty = {"rules": [], "inclusions": [], "separations": []}
         path = tmp_path / "empty.json"
@@ -152,6 +172,14 @@ class TestQueryClosure:
         assert code == 0
         assert out.startswith("DERIVABLE\n")
         assert "Cor 7.7" in out
+
+    def test_query_chain_stable_across_hash_seeds(self):
+        argv = ("--json", "query", "--base", "DNEOR:D2:nP2",
+                "--goal", "DNEOR:D0:S1", "--kmax", "4")
+        outs = {_module_run(*argv, PYTHONHASHSEED=str(seed)).stdout
+                for seed in range(4)}
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["result"] == "DERIVABLE"
 
     def test_query_separated(self, capsys):
         code, out, _ = _run(capsys, "--json", "query", "--base", "",

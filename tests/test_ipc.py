@@ -156,6 +156,12 @@ class TestSkeletonize:
         a = skeletonize(parse("(E x. (x = 0)) \\/ ~(E y. (y = 0))"))
         assert len(prop_atoms(a)) == 1
 
+    def test_bound_names_never_meet_free_ones(self):
+        # a free variable spelled like a renamed bound one stays distinct
+        sk = skeletonize(parse("(A y. (y = y)) -> (A y. (y = _b0))"))
+        assert format_prop(sk) == "a -> b"
+        assert not prove_ipc(sk).provable
+
 
 class TestVerifyRule:
     def test_first_order_untouched(self):
