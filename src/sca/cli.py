@@ -296,7 +296,7 @@ def run(argv: list[str]) -> int:
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, RecursionError) as e:
+    except (ValueError, OSError, RecursionError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

@@ -7,7 +7,8 @@ list of families whose nodes are monotone in their class arguments.
 Each level cap has one ground program, built on first use: every rule
 instance for k up to the cap, indexed by its premises, and every ground
 separation fact.  Closure is its least fixpoint, computed by one worklist
-that queues what each arriving node makes derivable; queries answer with
+in which an arriving node queues the nodes it covers in the class
+inclusion order and the rule instances it completes; queries answer with
 a replayable chain, a citation-backed separation, or Unknown.
 """
 
@@ -90,7 +91,8 @@ class RuleBase:
     rules: tuple[Rule, ...]
     separations: tuple[SeparationFact, ...]
     inclusions: frozenset[str]
-    _programs: dict = field(default_factory=dict, repr=False)
+    _programs: dict = field(default_factory=dict, repr=False, compare=False)
+    _covers: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 _GUARD_RE = re.compile(r"^k(>=|==)(\d+)$")
@@ -226,65 +228,74 @@ def _ground(pats: tuple[NodePat, ...], guard: str | None, k: int) -> list[Node] 
 
 
 def _program(rb: RuleBase, k_max: int):
-    """The ground program of the rule base at a level cap, built once.
-
-    Returns (watch, facts).  watch maps each premise text to the rule
-    instances (rule id, premise texts, conclusion text, conclusion node)
-    that have it, and None to the premise-free instances; an instance
-    with a node above k_max is a clamp marker (conclusion text None).
-    facts lists every separation fact's ground (fact, k, theory texts,
-    unprovable text) within the cap, in file order.
-    """
+    """The ground program of the rule base at a level cap, built once:
+    (insts, watch, counts, facts).  insts lists the rule instances (rule
+    id, premise texts, conclusion text, conclusion node), an instance with
+    a node above k_max being a clamp marker (conclusion text None); watch
+    maps each premise text, or None for no premise, to the indices of the
+    instances that have it; counts holds each instance's number of
+    distinct premises; facts lists every separation fact's ground (fact,
+    k, theory texts, unprovable text) within the cap, in file order."""
     if k_max not in rb._programs:
-        watch: dict[str | None, list[tuple]] = {}
-        facts = []
+        insts, counts, facts = [], [], []
+        watch: dict[str | None, list[int]] = {}
         for rule, k in itertools.product(rb.rules, range(k_max + 1)):
             ground = _ground(rule.premises + (rule.conclusion,), rule.guard, k)
             if ground is not None:
                 *prems, concl = ground
                 texts = tuple(map(str, prems))
                 clamp = any(g.level > k_max for g in ground)
-                inst = (rule.rule_id, texts, None if clamp else str(concl), concl)
-                for p in dict.fromkeys(texts) or (None,):
-                    watch.setdefault(p, []).append(inst)
+                for p in set(texts) or (None,):
+                    watch.setdefault(p, []).append(len(insts))
+                insts.append((rule.rule_id, texts, None if clamp else str(concl), concl))
+                counts.append(len(set(texts)))
         for fact, k in itertools.product(rb.separations, range(k_max + 1)):
             ground = _ground(fact.theory + (fact.unprovable,), fact.guard, k)
             if ground is not None and all(g.level <= k_max for g in ground):
                 *theory, unprov = map(str, ground)
                 facts.append((fact, k, tuple(theory), unprov))
-        rb._programs[k_max] = (watch, facts)
+        rb._programs[k_max] = (insts, watch, counts, facts)
     return rb._programs[k_max]
 
 
-def _weaker_nodes(node: Node, incl: frozenset[str]) -> list[str]:
-    """Every other node of a monotone family whose class arguments are
-    each included in the given node's, sorted."""
-    if node.pid.family not in incl or node.pid.variant != PLAIN:
-        return []
-    per_arg = [{c.canonical() for kind in "SPD" for lvl in range(a.level + 1)
-                if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)}
-               for a in node.args]
-    weaker = {str(Node(node.pid, args).canonical())
-              for args in itertools.product(*per_arg)}
-    weaker.discard(str(node))
-    return sorted(weaker)
+def _cover_steps(rb: RuleBase, n: str) -> tuple:
+    """The monotonicity steps from a node to the nodes it covers, sorted
+    by text: one class argument lowered to one of its covers, the maximal
+    canonical literals strictly below it, all within one level of it.
+    Memoized on the rule base; they do not depend on the level cap."""
+    if n not in rb._covers:
+        node, covered = Node.parse(n), set()
+        if node.pid.family in rb.inclusions and node.pid.variant == PLAIN:
+            for i, a in enumerate(node.args):
+                below = {c.canonical() for kind in "SPD"
+                         for lvl in range(max(a.level - 1, 0), a.level + 1)
+                         if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)} - {a}
+                for c in below:
+                    if not any(d != c and class_lit_subset(c, d) for d in below):
+                        args = (*node.args[:i], c, *node.args[i + 1:])
+                        covered.add(str(Node(node.pid, args).canonical()))
+        mono = f"mono:{node.pid.family}"
+        rb._covers[n] = tuple((mono, (n,), w, None) for w in sorted(covered))
+    return rb._covers[n]
 
 
 def _closure_detail(assumed: frozenset[str], rb: RuleBase, k_max: int,
                     rng: random.Random | None = None):
     """Least fixpoint with provenance, by one worklist over the ground
-    program: each arriving node queues its weaker nodes and every rule
-    instance whose premises it completes.  rng, when given, picks which
-    queued step is taken next; the fixpoint does not depend on it.
+    program.  Monotonicity is cover edges: each arriving node queues the
+    nodes it covers, whose transitive closure is its down-set, and the
+    rule instances whose missing-premise count it brings to 0.  rng, when
+    given, picks the next queued step; the fixpoint does not depend on it.
 
     Returns (nodes, steps, clamped_levels): steps maps each derived node
     to the (rule_id, premises, node) step that first added it, in the
     order they were added; clamped_levels collects conclusion levels that
     were cut off at k_max.
     """
-    watch, _facts = _program(rb, k_max)
-    todo = deque([(None, (), n, Node.parse(n)) for n in sorted(assumed)])
-    todo.extend(watch.get(None, ()))
+    insts, watch, counts, _facts = _program(rb, k_max)
+    missing = counts.copy()
+    todo = deque([(None, (), n, None) for n in sorted(assumed)])
+    todo.extend(insts[i] for i in watch.get(None, ()))
     nodes: set[str] = set()
     steps: dict[str, tuple] = {}
     clamped: set[int] = set()
@@ -300,14 +311,11 @@ def _closure_detail(assumed: frozenset[str], rb: RuleBase, k_max: int,
         nodes.add(n)
         if rid is not None:
             steps[n] = (rid, prems, n)
-        # A node added by a monotonicity step (node None) is not expanded:
-        # its weaker nodes are its source's.
-        if node is not None:
-            mono = f"mono:{node.pid.family}"
-            todo.extend((mono, (n,), w, None)
-                        for w in _weaker_nodes(node, rb.inclusions) if w not in nodes)
-        todo.extend(inst for inst in watch.get(n, ())
-                    if all(p in nodes for p in inst[1]))
+        todo.extend(_cover_steps(rb, n))
+        for i in watch.get(n, ()):
+            missing[i] -= 1
+            if not missing[i]:
+                todo.append(insts[i])
     return frozenset(nodes), steps, clamped
 
 
@@ -341,7 +349,7 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
 
     ctx_with_goal = ctx.assumed | {goal}
     nodes_with_goal, _s, _c = _closure_detail(ctx_with_goal, rb, ctx.k_max)
-    for fact, k, theory, unprov in _program(rb, ctx.k_max)[1]:
+    for fact, k, theory, unprov in _program(rb, ctx.k_max)[3]:
         if unprov in nodes_with_goal and nodes <= _closure_detail(
                 frozenset(theory), rb, ctx.k_max)[0]:
             return Separated(fact.fact_id, {

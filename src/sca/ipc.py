@@ -232,8 +232,12 @@ def _step(hyps: frozenset, goal: PropFormula, cache) -> "Trace | None":
     if isinstance(goal, PAtom) and goal in hyps:
         return Trace("axiom", seq, goal, ())
 
-    # invertible left rules
-    for h in hyps:
+    # invertible left rules, on the applicable hypothesis that prints
+    # first, so that traces do not depend on the hash seed
+    left = [h for h in hyps if isinstance(h, (PAnd, POr)) or isinstance(h, PImp) and (
+        isinstance(h.f1, (PBot, PAnd, POr)) or isinstance(h.f1, PAtom) and h.f1 in hyps)]
+    if left:
+        h = left[0] if len(left) == 1 else min(left, key=format_prop)
         if isinstance(h, PAnd):
             sub = _search(hyps - {h} | {h.f1, h.f2}, goal, cache)
             return Trace("L-and", seq, h, (sub,)) if sub else None
@@ -243,20 +247,18 @@ def _step(hyps: frozenset, goal: PropFormula, cache) -> "Trace | None":
                 return None
             s2 = _search(hyps - {h} | {h.f2}, goal, cache)
             return Trace("L-or", seq, h, (s1, s2)) if s2 else None
-        if isinstance(h, PImp):
-            a = h.f1
-            if isinstance(a, PBot):
-                sub = _search(hyps - {h}, goal, cache)
-                return Trace("L-imp-bot", seq, h, (sub,)) if sub else None
-            if isinstance(a, PAtom) and a in hyps:
-                sub = _search(hyps - {h} | {h.f2}, goal, cache)
-                return Trace("L-imp-atom", seq, h, (sub,)) if sub else None
-            if isinstance(a, PAnd):
-                sub = _search(hyps - {h} | {PImp(a.f1, PImp(a.f2, h.f2))}, goal, cache)
-                return Trace("L-imp-and", seq, h, (sub,)) if sub else None
-            if isinstance(a, POr):
-                sub = _search(hyps - {h} | {PImp(a.f1, h.f2), PImp(a.f2, h.f2)}, goal, cache)
-                return Trace("L-imp-or", seq, h, (sub,)) if sub else None
+        a = h.f1
+        if isinstance(a, PBot):
+            sub = _search(hyps - {h}, goal, cache)
+            return Trace("L-imp-bot", seq, h, (sub,)) if sub else None
+        if isinstance(a, PAtom):
+            sub = _search(hyps - {h} | {h.f2}, goal, cache)
+            return Trace("L-imp-atom", seq, h, (sub,)) if sub else None
+        if isinstance(a, PAnd):
+            sub = _search(hyps - {h} | {PImp(a.f1, PImp(a.f2, h.f2))}, goal, cache)
+            return Trace("L-imp-and", seq, h, (sub,)) if sub else None
+        sub = _search(hyps - {h} | {PImp(a.f1, h.f2), PImp(a.f2, h.f2)}, goal, cache)
+        return Trace("L-imp-or", seq, h, (sub,)) if sub else None
 
     # invertible right rules
     if isinstance(goal, PAnd):

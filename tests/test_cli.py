@@ -3,6 +3,8 @@ byte stability."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -10,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sca.cli import run
 
@@ -101,6 +105,14 @@ class TestIpc:
     def test_json(self, capsys):
         code, out, _ = _run(capsys, "--json", "ipc", "p \\/ ~p")
         assert json.loads(out) == {"provable": False, "trace": None}
+
+    def test_trace_stable_across_hash_seeds(self):
+        argv = ("--json", "ipc", "--trace",
+                "((p /\\ q) /\\ (r \\/ s)) -> ((q /\\ p) /\\ (s \\/ r))")
+        outs = {_module_run(*argv, PYTHONHASHSEED=str(seed)).stdout
+                for seed in range(4)}
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["provable"] is True
 
 
 class TestVerifyRules:
@@ -264,3 +276,74 @@ class TestProcess:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+
+# Random command lines: subcommands with valid and malformed nodes,
+# formulas and levels, plus stray tokens.
+
+FORMULAS = ["A x. (x = x)", "E x. A y. (x < y)", "~~(x = 0)",
+            "A x. E y. ((x = y) \\/ ~(x = y))", "E y < x. (y = y)",
+            "p -> p", "((p -> q) -> p) -> p", "p \\/ ~p", "(p /\\ q",
+            "A x.", "x =", "", "~" * 40 + "p", "E x. (x = 0) -> p"]
+NODES = ["LEM:S1", "DNE:S0", "DML:S1:P1", "DML:S1", "DNEOR:P1:P1", "COLL:P2",
+         "LEM:DPI:D1", "LEM:P0", "LEM:nS1", "CD:nS1:nP1", "PEIRCE:S1", "LN:P1",
+         "DNS:S0", "DUAL:DSI:D1", "WDUAL:P1", "LEMBOT:S1", "DMLBOT:DPI:D1:S1",
+         "DNE:S9", "FOO:S1", "DNE:X1", "LEM:S1:S1", "CD:nS1:THETA", "LEM:", ":", ""]
+LEVELS = ["0", "1", "2", "3", "4", "-1", "x", ""]
+STRAY = ["--json", "--trace", "--help", "--kmax", "--frob", "extra", "--base"]
+
+
+def _argv(draw, out_dir: pathlib.Path) -> list[str]:
+    """A subcommand with flags drawn from pools of valid and malformed
+    values, an optional --json and an optional stray token."""
+    def pick(pool):
+        return draw(st.sampled_from(pool))
+
+    def nodes():
+        return ",".join(draw(st.lists(st.sampled_from(NODES), max_size=3)))
+
+    def rulebase():
+        return ["--rulebase", pick([str(out_dir / "bad.json"),
+                                    str(out_dir / "absent.json"), str(out_dir)])]
+
+    def witnesses():
+        n = pick([0, 1, 3])
+        return [w for flag in ("--psi", "--phi2", "--psi2")[:n]
+                for w in (flag, pick(FORMULAS))]
+
+    cmd = pick(["classify", "dual", "merge", "relclassify", "instantiate", "ipc",
+                "verify-rules", "closure", "query", "equiv", "graph", "frob"])
+    args = {
+        "relclassify": lambda: [pick(FORMULAS), "--theory", nodes()],
+        "instantiate": lambda: [pick(NODES), "--phi", pick(FORMULAS), *witnesses()],
+        "ipc": lambda: [pick(FORMULAS), *pick([[], ["--trace"]])],
+        "verify-rules": lambda: pick([[], rulebase()]),
+        "closure": lambda: ["--base", nodes(), "--kmax", pick(LEVELS)],
+        "query": lambda: ["--base", nodes(), "--goal", pick(NODES),
+                          "--kmax", pick(LEVELS)],
+        "equiv": lambda: [pick(NODES), "--kmax", pick(LEVELS)],
+        "graph": lambda: ["--preset", pick(["abhk", "dns", "cd", "x"]),
+                          "--k", pick(LEVELS), "--out", str(out_dir / "fig.dot")],
+    }.get(cmd, lambda: [pick(FORMULAS)])()
+    if cmd in ("closure", "query", "equiv", "graph") and draw(st.booleans()):
+        args += rulebase()
+    head = ["--json"] if draw(st.booleans()) else []
+    return head + [cmd] + args + draw(st.lists(st.sampled_from(STRAY), max_size=1))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "bad.json").write_text('{"rules": [{"id": "r1", "conclusion": 1}]}')
+    return path
+
+
+class TestFuzz:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_argv_exit_code(self, fuzz_dir, data):
+        argv = _argv(data.draw, fuzz_dir)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+        assert code in (0, 1, 2), argv

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from sca.derivability import (
     Derivable, LevelOutOfRange, MissingCitation, SchemaError, Separated,
     TheoryContext, Unknown, UnknownFamily, canonical_node, closure,
-    equivalence_class, export_dot, load_rulebase, node_level, query,
-    verify_rulebase,
+    equivalence_class, export_dot, load_default_rulebase, load_rulebase,
+    node_level, query, verify_rulebase,
 )
 from sca.hierarchy import class_lit_subset
-from sca.nodes import PLAIN, ClassLit, Node
+from sca.nodes import CATALOG, FAMILIES, PLAIN, ClassLit, Node
 
 CITE = {"ref": "Fact 2.2", "quote": "the following fact trivially holds"}
 
@@ -132,6 +132,10 @@ class TestLoadRulebase:
         with pytest.raises(SchemaError):
             load_rulebase("[]")
 
+    def test_equality_ignores_memos(self, rb):
+        closure(TheoryContext.make({"LEM:S1"}, 3), rb)
+        assert load_default_rulebase() == rb
+
     def test_generator_reproduces_shipped_file(self):
         root = pathlib.Path(__file__).resolve().parent.parent
         tool = runpy.run_path(str(root / "tools" / "make_rulebase.py"))
@@ -198,6 +202,28 @@ class TestClosure:
         for seed in range(5):
             assert closure(ctx, rb, rng=random.Random(seed)) == baseline
 
+    def test_covers_reach_every_down_set(self):
+        # With no rules, a node's closure is exactly its down-set: every
+        # node a cover step adds must itself be expanded, and no cover of
+        # any argument may be missed.
+        rb = _mini(inclusions=sorted(FAMILIES))
+        lits = [ClassLit(neg, kind, lvl)
+                for neg in range(3) for kind in "SPD" for lvl in range(3)]
+        for pid, _schema in CATALOG:
+            if pid.variant != PLAIN:
+                continue
+            for args in itertools.product(lits, repeat=pid.arity):
+                node = str(Node(pid, args).canonical())
+                got = closure(TheoryContext.make({node}, 2), rb)
+                assert got == _down_set(node, rb.inclusions), node
+
+    def test_premise_spelled_twice_counts_once(self):
+        # Both premises ground to the canonical DML:P1:S1, so the instance
+        # waits for one node, not two.
+        rb = _mini(rules=[{"id": "r1", "premises": ["DML:S(k):P(k)", "DML:P(k):S(k)"],
+                           "conclusion": "DNE:S(k)", "cite": CITE}], inclusions=())
+        assert "DNE:S1" in closure(TheoryContext.make({"DML:S1:P1"}, 1), rb)
+
     @given(nodes=st.sets(st.sampled_from(
         ["LEM:S1", "DNE:S1", "DML:S1", "COLL:P1", "DNS:S1", "LEM:P2"]),
         max_size=3))
@@ -257,6 +283,16 @@ class TestQuery:
         assert isinstance(res, (Unknown, Derivable, Separated))
         if isinstance(res, Unknown):
             assert isinstance(res.boundary_warning, bool)
+
+    def test_boundary_warning_iff_clamp_near_the_query(self):
+        rb = _mini(rules=[{"id": "r1", "premises": ["LEM:S(k)"],
+                           "conclusion": "DNE:S(k+1)", "cite": CITE}])
+        # LEM:S3 fires r1 at k=3, whose conclusion DNE:S4 is cut off at 3
+        res = query(TheoryContext.make({"LEM:S3"}, 3), "DML:S3", rb)
+        assert res == Unknown(boundary_warning=True)
+        # LEM:S0 never reaches LEM:S6, the premise of the clamped instance
+        res = query(TheoryContext.make({"LEM:S0"}, 6), "DML:S0", rb)
+        assert res == Unknown(boundary_warning=False)
 
     def test_level_out_of_range(self, rb):
         with pytest.raises(LevelOutOfRange):
