@@ -205,8 +205,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    rb = _load_rulebase(args)
-    dot = derivability.export_dot(args.preset, args.k, rb)
+    dot = derivability.export_dot(args.preset, args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dot)
     _emit(args, {"preset": args.preset, "k": args.k, "out": args.out},
@@ -282,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=["abhk", "dns", "cd"])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rulebase")
+    p.add_argument("--rulebase", help="ignored: figures are fixed data")
     p.set_defaults(func=_cmd_graph)
 
     return top

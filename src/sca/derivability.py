@@ -18,14 +18,14 @@ import itertools
 import json
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import ipc
-from .hierarchy import class_lit_subset
+from .hierarchy import class_lit_covers
 from .nodes import (
-    FAMILIES, PLAIN, ClassLit, Node, NodePat, SchemaError, UnknownFamily,
+    FAMILIES, PLAIN, Node, NodePat, SchemaError, UnknownFamily,
     canonical_node, parse_pattern,
 )
 
@@ -260,20 +260,13 @@ def _program(rb: RuleBase, k_max: int):
 
 def _cover_steps(rb: RuleBase, n: str) -> tuple:
     """The monotonicity steps from a node to the nodes it covers, sorted
-    by text: one class argument lowered to one of its covers, the maximal
-    canonical literals strictly below it, all within one level of it.
-    Memoized on the rule base; they do not depend on the level cap."""
+    by text: one class argument lowered to one of its covers.  Memoized on
+    the rule base; they do not depend on the level cap."""
     if n not in rb._covers:
-        node, covered = Node.parse(n), set()
-        if node.pid.family in rb.inclusions and node.pid.variant == PLAIN:
-            for i, a in enumerate(node.args):
-                below = {c.canonical() for kind in "SPD"
-                         for lvl in range(max(a.level - 1, 0), a.level + 1)
-                         if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)} - {a}
-                for c in below:
-                    if not any(d != c and class_lit_subset(c, d) for d in below):
-                        args = (*node.args[:i], c, *node.args[i + 1:])
-                        covered.add(str(Node(node.pid, args).canonical()))
+        node = Node.parse(n)
+        monotone = node.pid.family in rb.inclusions and node.pid.variant == PLAIN
+        covered = {str(Node(node.pid, (*node.args[:i], c, *node.args[i + 1:])).canonical())
+                   for i, a in enumerate(node.args) if monotone for c in class_lit_covers(a)}
         mono = f"mono:{node.pid.family}"
         rb._covers[n] = tuple((mono, (n,), w, None) for w in sorted(covered))
     return rb._covers[n]
@@ -333,7 +326,8 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
     Unknown (with a boundary warning when the level cap interfered).
 
     The chain lists the steps the goal needs in the order the fixpoint
-    added them."""
+    added them, a run of monotonicity steps of one family folded into one
+    down-set step where no other step uses the nodes it passes through."""
     goal_node = Node.parse(goal).canonical()
     goal = str(goal_node)
     if goal_node.level > ctx.k_max:
@@ -345,7 +339,14 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
             if step[2] in needed:
                 chain.append(step)
                 needed.update(step[1])
-        return Derivable(chain[::-1])
+        uses = Counter(p for step in chain for p in step[1])
+        merged: dict[str, tuple] = {}
+        for rid, prems, n in reversed(chain):
+            prev = merged.get(prems[0]) if prems else None
+            if prev and prev[0] == rid and rid.startswith("mono:") and uses[prems[0]] == 1:
+                prems = merged.pop(prems[0])[1]
+            merged[n] = (rid, prems, n)
+        return Derivable(list(merged.values()))
 
     ctx_with_goal = ctx.assumed | {goal}
     nodes_with_goal, _s, _c = _closure_detail(ctx_with_goal, rb, ctx.k_max)
@@ -406,110 +407,93 @@ def verify_rulebase(rb: RuleBase) -> Report:
 # ---------------------------------------------------------------------------
 # Figure export
 
-def _abhk_graph(k: int):
-    slem_ = f"LEM:S{k - 1}"
-    dlem = f"LEM:D{k}"
-    ppdne = f"DNEOR:P{k}:P{k}"
-    plem = f"LEM:P{k}"
-    sdne = f"DNE:S{k}"
-    slem = f"LEM:S{k}"
-    nodes = [slem_, dlem, ppdne, plem, sdne, slem]
-    solid = [
-        (slem, plem), (slem, sdne), (plem, ppdne),
-        (ppdne, dlem), (sdne, dlem), (dlem, slem_),
-    ]
-    dashed = [((plem, slem), f"HA + DNE:S{k}")]
-    return nodes, [(s, d, "solid", "") for s, d in solid] + \
-        [(e[0], e[1], "dashed", lab) for e, lab in dashed]
+# The preset figures as data: the node patterns in print order and, for
+# each edge style, the nodes its edges hold over besides HA and its edges
+# (source, target).  abhk is the hierarchy of Akama, Berardi, Hayashi and
+# Kohlenbach (LICS 2004).  tests/test_derivability.py queries every edge
+# over its printed base with the shipped rule base.
+_FIGURES = {
+    "abhk": (
+        ("LEM:S(k-1)", "LEM:D(k)", "DNEOR:P(k):P(k)", "LEM:P(k)", "DNE:S(k)", "LEM:S(k)"),
+        {"solid": ((), (
+            ("LEM:S(k)", "LEM:P(k)"), ("LEM:S(k)", "DNE:S(k)"),
+            ("LEM:P(k)", "DNEOR:P(k):P(k)"), ("DNEOR:P(k):P(k)", "LEM:D(k)"),
+            ("DNE:S(k)", "LEM:D(k)"), ("LEM:D(k)", "LEM:S(k-1)"))),
+         "dashed": (("DNE:S(k)",), (("LEM:P(k)", "LEM:S(k)"),))},
+    ),
+    "dns": (
+        ("DNE:S(k-1)", "DNEOR:P(k-1):P(k-1)", "LEM:nS(k-1)", "LEM:P(k-1)", "LEM:S(k-1)",
+         "DML:nD(k)", "DML:D(k)", "DNEOR:D(k):D(k)", "LEM:nD(k)", "LEM:D(k)", "DML:P(k)",
+         "DML:S(k)", "DNE:S(k)", "DNEOR:P(k):P(k)", "LEM:nS(k)", "LEM:P(k)", "LEM:S(k)"),
+        {"solid": (("DNS:S(k-1)",), (
+            ("LEM:S(k)", "LEM:P(k)"), ("LEM:S(k)", "DNE:S(k)"),
+            ("LEM:P(k)", "DNEOR:P(k):P(k)"), ("LEM:P(k)", "LEM:nS(k)"),
+            ("DNE:S(k)", "LEM:D(k)"), ("DNE:S(k)", "DML:P(k)"),
+            ("DNEOR:P(k):P(k)", "LEM:D(k)"), ("DNEOR:P(k):P(k)", "DML:P(k)"),
+            ("DNEOR:P(k):P(k)", "DML:S(k)"), ("LEM:nS(k)", "DML:S(k)"),
+            ("LEM:D(k)", "DNEOR:D(k):D(k)"), ("LEM:D(k)", "LEM:nD(k)"),
+            ("DNEOR:D(k):D(k)", "LEM:S(k-1)"), ("DNEOR:D(k):D(k)", "DML:nD(k)"),
+            ("LEM:nD(k)", "DML:nD(k)"), ("LEM:nD(k)", "DML:D(k)"),
+            ("LEM:S(k-1)", "DNE:S(k-1)"), ("LEM:S(k-1)", "LEM:P(k-1)"),
+            ("LEM:P(k-1)", "DNEOR:P(k-1):P(k-1)"), ("LEM:P(k-1)", "LEM:nS(k-1)"),
+            ("LEM:nS(k)", "DML:P(k)"), ("DML:P(k)", "LEM:nD(k)"),
+            ("DML:S(k)", "LEM:nD(k)"), ("DML:nD(k)", "LEM:nS(k-1)"),
+            ("DML:D(k)", "LEM:nS(k-1)"))),
+         "dashed": (("DNE:S(k-1)",), (
+            ("LEM:nS(k)", "LEM:P(k)"), ("DML:S(k)", "DNEOR:P(k):P(k)"),
+            ("LEM:nD(k)", "LEM:D(k)"), ("DML:nD(k)", "DNEOR:D(k):D(k)"),
+            ("LEM:nS(k-1)", "LEM:S(k-1)"), ("DML:D(k)", "DML:nD(k)")))},
+    ),
+    "cd": (
+        ("CD:nD(k):nS(k)", "CD:nS(k):nS(k)", "CD:nP(k):nS(k)", "DML:D(k):S(k)", "DML:S(k)",
+         "DML:P(k):S(k)", "LEM:nD(k)", "LEM:nS(k)", "LEM:nP(k)"),
+        {"solid": ((), (
+            ("DML:D(k):S(k)", "CD:nD(k):nS(k)"), ("CD:nS(k):nS(k)", "CD:nD(k):nS(k)"),
+            ("CD:nP(k):nS(k)", "CD:nD(k):nS(k)"), ("DML:S(k)", "DML:D(k):S(k)"),
+            ("DML:P(k):S(k)", "DML:D(k):S(k)"), ("DML:S(k)", "CD:nS(k):nS(k)"),
+            ("DML:P(k):S(k)", "CD:nP(k):nS(k)"), ("LEM:nD(k)", "DML:D(k):S(k)"),
+            ("LEM:nS(k)", "LEM:nD(k)"), ("LEM:nP(k)", "LEM:nD(k)"),
+            ("LEM:nS(k)", "DML:S(k)"), ("LEM:nS(k)", "DML:P(k):S(k)"),
+            ("LEM:nP(k)", "DML:P(k):S(k)"), ("LEM:nS(k)", "CD:nS(k):nS(k)"),
+            ("LEM:nP(k)", "CD:nP(k):nS(k)"))),
+         "dashed": (("DNS:S(k-2)",), (
+            ("CD:nD(k):nS(k)", "DML:D(k):S(k)"), ("CD:nS(k):nS(k)", "DML:S(k)"),
+            ("CD:nP(k):nS(k)", "DML:P(k):S(k)"))),
+         "dotted": (("DNS:S(k-1)",), (
+            ("DML:P(k):S(k)", "LEM:nS(k)"), ("DML:P(k):S(k)", "LEM:nP(k)"),
+            ("DML:D(k):S(k)", "LEM:nD(k)")))},
+    ),
+}
 
 
-def _dns_graph(k: int):
-    sdne_ = f"DNE:S{k - 1}"
-    ppdne_ = f"DNEOR:P{k - 1}:P{k - 1}"
-    nslem_ = f"LEM:nS{k - 1}"
-    plem_ = f"LEM:P{k - 1}"
-    slem_ = f"LEM:S{k - 1}"
-    nddml = f"DML:nD{k}"
-    ddml = f"DML:D{k}"
-    dddne = f"DNEOR:D{k}:D{k}"
-    ndlem = f"LEM:nD{k}"
-    dlem = f"LEM:D{k}"
-    pdml = f"DML:P{k}"
-    sdml = f"DML:S{k}"
-    sdne = f"DNE:S{k}"
-    ppdne = f"DNEOR:P{k}:P{k}"
-    nslem = f"LEM:nS{k}"
-    plem = f"LEM:P{k}"
-    slem = f"LEM:S{k}"
-    nodes = [sdne_, ppdne_, nslem_, plem_, slem_, nddml, ddml, dddne,
-             ndlem, dlem, pdml, sdml, sdne, ppdne, nslem, plem, slem]
-    solid = [
-        (slem, plem), (slem, sdne), (plem, ppdne), (plem, nslem),
-        (sdne, dlem), (sdne, pdml), (ppdne, dlem), (ppdne, pdml),
-        (ppdne, sdml), (nslem, sdml), (dlem, dddne), (dlem, ndlem),
-        (dddne, slem_), (dddne, nddml), (ndlem, nddml), (ndlem, ddml),
-        (slem_, sdne_), (slem_, plem_), (plem_, ppdne_), (plem_, nslem_),
-        (nslem, pdml), (pdml, ndlem), (sdml, ndlem), (nddml, nslem_),
-        (ddml, nslem_),
-    ]
-    dashed = [
-        (nslem, plem), (sdml, ppdne), (ndlem, dlem),
-        (nddml, dddne), (nslem_, slem_), (ddml, nddml),
-    ]
-    label = f"HA + DNE:S{k - 1}"
-    return nodes, [(s, d, "solid", "") for s, d in solid] + \
-        [(s, d, "dashed", label) for s, d in dashed]
+def export_dot(preset: str, k: int) -> str:
+    """DOT digraph of the preset implication diagram at level k, for k at
+    least the least level at which every pattern of the preset grounds.
 
-
-def _cd_graph(k: int):
-    ndnscd = f"CD:nD{k}:nS{k}"
-    nsnscd = f"CD:nS{k}:nS{k}"
-    npnscd = f"CD:nP{k}:nS{k}"
-    dsdml = f"DML:D{k}:S{k}"
-    sdml = f"DML:S{k}"
-    spdml = f"DML:P{k}:S{k}"
-    ndlem = f"LEM:nD{k}"
-    nslem = f"LEM:nS{k}"
-    nplem = f"LEM:nP{k}"
-    nstcd = f"CD:nS{k}:THETA"
-    nptcd = f"CD:nP{k}:THETA"
-    nodes = [ndnscd, nsnscd, npnscd, dsdml, sdml, spdml,
-             ndlem, nslem, nplem, nstcd, nptcd]
-    solid = [
-        (dsdml, ndnscd), (nsnscd, ndnscd), (npnscd, ndnscd),
-        (sdml, dsdml), (spdml, dsdml), (sdml, nsnscd), (spdml, npnscd),
-        (ndlem, dsdml), (nslem, ndlem), (nplem, ndlem),
-        (nslem, sdml), (nslem, spdml), (nplem, spdml),
-        (nstcd, nsnscd), (nptcd, npnscd), (nslem, nstcd), (nplem, nptcd),
-    ]
-    dashed = [(ndnscd, dsdml), (nsnscd, sdml), (npnscd, spdml)]
-    dotted = [(spdml, nslem), (spdml, nplem), (dsdml, ndlem)]
-    return nodes, (
-        [(s, d, "solid", "") for s, d in solid]
-        + [(s, d, "dashed", f"HA + DNS:S{k - 2}") for s, d in dashed]
-        + [(s, d, "dotted", f"HA + DNS:S{k - 1}") for s, d in dotted]
-    )
-
-
-_PRESETS = {"abhk": _abhk_graph, "dns": _dns_graph, "cd": _cd_graph}
-
-
-def export_dot(preset: str, k: int, rb: RuleBase | None = None) -> str:
-    """DOT digraph of the preset implication diagram at level k; dashed
-    and dotted edges carry a label naming their side-condition base."""
-    if preset not in _PRESETS:
+    Node text prints as the table writes it (diagonal sugar kept) and is
+    parsed first, so only nodes of the grammar print.  Dashed and dotted
+    edges carry a label naming the base they hold over; solid edges hold
+    over the graph's label, or over HA when it has none."""
+    if preset not in _FIGURES:
         raise ValueError(f"unknown preset: {preset!r}")
-    if k < 1:
-        raise ValueError("preset figures need k >= 1")
-    nodes, edges = _PRESETS[preset](k)
+    nodes, styles = _FIGURES[preset]
+    pats = [NodePat(p) for p in itertools.chain(nodes, *(b for b, _ in styles.values()))]
+    least = next(j for j in itertools.count() if all(p.text_at(j) for p in pats))
+    if k < least:
+        raise ValueError(f"preset {preset!r} needs k >= {least}")
+
+    def at(pat: str) -> str:
+        text = NodePat(pat).text_at(k)
+        Node.parse(text)
+        return text
+
     lines = [f"digraph {preset} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for n in nodes:
-        lines.append(f'  "{n}";')
-    for src, dst, style, label in edges:
-        if style == "solid":
-            lines.append(f'  "{src}" -> "{dst}";')
-        else:
-            lines.append(
-                f'  "{src}" -> "{dst}" [style={style} label="{label}"];')
+    label = {style: " + ".join(["HA", *map(at, base)]) for style, (base, _) in styles.items()}
+    if styles["solid"][0]:
+        lines.append(f'  label="{label["solid"]}";')
+    lines += [f'  "{at(n)}";' for n in nodes]
+    for style, (_base, edges) in styles.items():
+        attrs = "" if style == "solid" else f' [style={style} label="{label[style]}"]'
+        lines += [f'  "{at(src)}" -> "{at(dst)}"{attrs};' for src, dst in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

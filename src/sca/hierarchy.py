@@ -9,6 +9,7 @@ and are re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .formulas import (
@@ -25,7 +26,7 @@ __all__ = [
     "HClass", "ClassLit", "NotPrenex", "Unclassifiable",
     "classify_prenex", "class_subset", "prenex_merge", "relative_classify",
     "prenex_prefix", "parse_class_literal", "format_class_literal",
-    "class_lit_subset",
+    "class_lit_subset", "class_lit_covers",
 ]
 
 SIGMA = "Sigma"
@@ -165,6 +166,19 @@ def class_lit_subset(a: ClassLit, b: ClassLit) -> bool:
     if a.level == b.level and a.kind == "D" and b.kind in ("S", "P"):
         return True
     return False
+
+
+@lru_cache(maxsize=None)
+def class_lit_covers(a: ClassLit) -> tuple[ClassLit, ...]:
+    """The covers of a class literal in the inclusion order: the maximal
+    canonical literals strictly below it, all within one level of it,
+    sorted by text."""
+    a = a.canonical()
+    below = {c.canonical() for kind in "SPD"
+             for lvl in range(max(a.level - 1, 0), a.level + 1)
+             if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)} - {a}
+    maximal = [c for c in below if not any(d != c and class_lit_subset(c, d) for d in below)]
+    return tuple(sorted(maximal, key=format_class_literal))
 
 
 # ---------------------------------------------------------------------------

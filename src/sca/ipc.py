@@ -425,14 +425,12 @@ VERIFIED = "Verified"
 FAILED = "Failed"
 NEEDS_FIRST_ORDER = "NeedsFirstOrder"
 
-# The only lemma shapes admitted as trusted hypotheses: the dual laws
-# (dual implies negation; a formula and its dual are inconsistent; the
-# double dual is equivalent to the formula) and an assumed class
-# equivalence premise.
-_LEMMA_LAWS = ("dual-imp-neg", "dual-disjoint", "dual-involution", "delta-premise")
-
 
 def _lemma_formula(lemma: Mapping[str, str]) -> PropFormula:
+    """The trusted hypothesis a lemma names.  The only shapes admitted are
+    the dual laws (dual implies negation; a formula and its dual are
+    inconsistent; the double dual is equivalent to the formula) and an
+    assumed class equivalence premise."""
     law = lemma.get("law")
     if law == "dual-imp-neg":
         return PImp(PAtom(lemma["dual"]), PNot(PAtom(lemma["phi"])))
@@ -447,7 +445,7 @@ def _lemma_formula(lemma: Mapping[str, str]) -> PropFormula:
     raise MalformedSkeleton(f"unknown lemma law: {law!r}")
 
 
-def verify_rule(rule, lemma_library=None) -> str:
+def verify_rule(rule) -> str:
     """Hybrid verification of one rule.
 
     For a rule marked propositional: parse its declared skeleton, add its

@@ -187,12 +187,16 @@ class NodePat:
 
     text: str
 
-    def at(self, k: int) -> Node | None:
-        """The canonical node at level k; None when a class goes below
-        level 0, i.e. a level prints negative (the empty-class convention
-        discards the instance)."""
+    def text_at(self, k: int) -> str | None:
+        """The text at level k as written; None when a class goes below
+        level 0 (the empty-class convention discards the instance)."""
         ground = _LEVEL_RE.sub(lambda m: str(k + int(m[1] or 0)), self.text)
-        return None if "-" in ground else Node.parse(ground).canonical()
+        return None if "-" in ground else ground
+
+    def at(self, k: int) -> Node | None:
+        """The canonical node at level k; None as for text_at."""
+        ground = self.text_at(k)
+        return None if ground is None else Node.parse(ground).canonical()
 
 
 def parse_pattern(text: str) -> NodePat:

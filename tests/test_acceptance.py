@@ -87,15 +87,15 @@ def test_criterion_3_rule_verification():
 
 def test_criterion_4_figure_reproduction():
     for k in range(1, 5):
-        dot = export_dot("abhk", k, RB)
+        dot = export_dot("abhk", k)
         vertex_lines = [l for l in dot.splitlines()
                         if l.strip().endswith(";") and "->" not in l
                         and "rankdir" not in l and "node [" not in l]
         edge_lines = [l for l in dot.splitlines() if "->" in l]
         assert len(vertex_lines) == 6
         assert len(edge_lines) == 7
-        assert dot == export_dot("abhk", k, RB)
-    dns = export_dot("dns", 2, RB)
+        assert dot == export_dot("abhk", k)
+    dns = export_dot("dns", 2)
     for node in ("DNE:S1", "DNEOR:P1:P1", "LEM:nS1", "LEM:P1", "LEM:S1",
                  "DML:nD2", "DML:D2", "DNEOR:D2:D2", "LEM:nD2", "LEM:D2",
                  "DML:P2", "DML:S2", "DNE:S2", "DNEOR:P2:P2", "LEM:nS2",
@@ -103,7 +103,7 @@ def test_criterion_4_figure_reproduction():
         assert f'"{node}"' in dns
     assert dns.count(" -> ") == 31  # 25 solid + 6 dashed edges
     assert dns.count("style=dashed") == 6
-    assert dns == export_dot("dns", 2, RB)
+    assert dns == export_dot("dns", 2)
 
 
 def test_criterion_5_equivalence_class():

@@ -242,6 +242,23 @@ class TestGraph:
         _run(capsys, "graph", "--preset", "dns", "--k", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_k_below_preset_minimum_is_domain_error(self):
+        proc = _module_run("graph", "--preset", "cd", "--k", "1", "--out", os.devnull)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("preset", ["abhk", "dns", "cd"])
+    def test_stable_across_hash_seeds(self, tmp_path, preset):
+        texts = set()
+        for seed in (0, 1):
+            out = tmp_path / f"{seed}.dot"
+            proc = _module_run("graph", "--preset", preset, "--k", "2", "--out",
+                               str(out), PYTHONHASHSEED=str(seed))
+            assert proc.returncode == 0
+            texts.add(out.read_bytes())
+        assert len(texts) == 1
+
     def test_bad_preset_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "graph", "--preset", "nope", "--k", "2",
                           "--out", "/tmp/x.dot")

@@ -258,6 +258,23 @@ class TestQuery:
         assert isinstance(res, Derivable)
         _assert_chain_replays(res.chain, ctx, "DML:P3", rb)
 
+    def test_monotonicity_run_is_one_step(self, rb):
+        ctx = TheoryContext.make({"LEM:nS3"}, 3)
+        res = query(ctx, "LEM:nD1", rb)
+        assert res.chain == [("mono:LEM", ("LEM:nS3",), "LEM:nD1")]
+        _assert_chain_replays(res.chain, ctx, "LEM:nD1", rb)
+
+    def test_monotonicity_run_kept_where_its_node_is_used(self):
+        rb = _mini(rules=[{"id": "r1", "premises": ["LEM:S(k-1)", "LEM:P(k)"],
+                           "conclusion": "DNE:S(k+1)", "cite": CITE}],
+                   inclusions=("LEM",))
+        ctx = TheoryContext.make({"LEM:S3"}, 3)
+        res = query(ctx, "DNE:S3", rb)
+        assert res.chain == [("mono:LEM", ("LEM:S3",), "LEM:P2"),
+                             ("mono:LEM", ("LEM:P2",), "LEM:S1"),
+                             ("r1", ("LEM:S1", "LEM:P2"), "DNE:S3")]
+        _assert_chain_replays(res.chain, ctx, "DNE:S3", rb)
+
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_agrees_with_oracle(self, rb, data):
@@ -377,7 +394,7 @@ class TestExportDot:
         return out
 
     def test_abhk_k2_shape(self, rb):
-        dot = export_dot("abhk", 2, rb)
+        dot = export_dot("abhk", 2)
         names = {line.strip().rstrip(";").strip('"')
                  for line in dot.splitlines()
                  if line.strip().endswith(";") and "->" not in line
@@ -387,28 +404,56 @@ class TestExportDot:
         assert self._edges(dot) == self.ABHK_EDGES_K2
 
     def test_abhk_dashed_side_base(self, rb):
-        dot = export_dot("abhk", 2, rb)
+        dot = export_dot("abhk", 2)
         dashed = [l for l in dot.splitlines() if "style=dashed" in l]
         assert len(dashed) == 1 and "DNE:S2" in dashed[0]
 
     def test_dns_vertices(self, rb):
-        dot = export_dot("dns", 2, rb)
+        dot = export_dot("dns", 2)
         for node in ("LEM:nS2", "DML:D2", "DNEOR:D2:D2"):
             assert f'"{node}"' in dot
 
     def test_cd_vertices_and_styles(self, rb):
-        dot = export_dot("cd", 2, rb)
+        dot = export_dot("cd", 2)
         assert '"CD:nD2' in dot
         assert "style=dashed" in dot and "style=dotted" in dot
 
     def test_byte_stable(self, rb):
         for preset in ("abhk", "dns", "cd"):
-            assert export_dot(preset, 2, rb) == export_dot(preset, 2, rb)
+            assert export_dot(preset, 2) == export_dot(preset, 2)
 
     def test_bad_preset(self, rb):
         with pytest.raises(ValueError):
-            export_dot("nope", 2, rb)
+            export_dot("nope", 2)
 
     def test_k_must_be_positive(self, rb):
         with pytest.raises(ValueError):
-            export_dot("abhk", 0, rb)
+            export_dot("abhk", 0)
+
+    @pytest.mark.parametrize("preset, least", [("abhk", 1), ("dns", 1), ("cd", 2)])
+    def test_every_edge_holds_over_its_printed_base(self, rb, preset, least):
+        """Every printed node parses, and every edge is derivable over HA
+        plus the base its label names (the graph's label for an unlabelled
+        edge) with the shipped rule base."""
+        for k in range(least):
+            with pytest.raises(ValueError, match=f"needs k >= {least}"):
+                export_dot(preset, k)
+        for k in range(least, 5):
+            nodes, edges, graph_base = set(), [], ()
+            for line in export_dot(preset, k).splitlines()[3:-1]:
+                line = line.strip().rstrip(";")
+                if line.startswith("label="):
+                    graph_base = line.split('"')[1].split(" + ")[1:]
+                elif "->" in line:
+                    src, dst = line.split('"')[1::2][:2]
+                    base = (line.split('label="')[1].split('"')[0].split(" + ")[1:]
+                            if "label=" in line else graph_base)
+                    edges.append((src, dst, base))
+                else:
+                    nodes.add(line.strip('"'))
+            for n in nodes:
+                Node.parse(n)
+            for src, dst, base in edges:
+                assert {src, dst} <= nodes
+                ctx = TheoryContext.make({*base, src}, k + 2)
+                assert isinstance(query(ctx, dst, rb), Derivable), (k, src, dst, base)

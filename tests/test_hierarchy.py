@@ -15,7 +15,7 @@ from sca.formulas import (
     And, Exists, Forall, Imp, Lt, Not, Var, cantor_pair, eval_bounded, parse,
 )
 from sca.hierarchy import (
-    ClassLit, HClass, NotPrenex, Unclassifiable, class_lit_subset,
+    ClassLit, HClass, NotPrenex, Unclassifiable, class_lit_covers, class_lit_subset,
     class_subset, classify_prenex, format_class_literal, parse_class_literal,
     prenex_merge, relative_classify,
 )
@@ -248,3 +248,13 @@ class TestClassLiterals:
     def test_negation_congruence(self):
         assert class_lit_subset(parse_class_literal("nS1"), parse_class_literal("nS2"))
         assert not class_lit_subset(parse_class_literal("nS1"), parse_class_literal("S2"))
+
+    def test_covers(self):
+        def covers(text):
+            return [format_class_literal(c)
+                    for c in class_lit_covers(parse_class_literal(text))]
+        assert covers("S2") == ["D2"]
+        assert covers("D2") == ["P1", "S1"]
+        assert covers("nP1") == ["nD1"]
+        assert covers("nD1") == ["nS0"]
+        assert covers("D0") == []
