@@ -295,7 +295,7 @@ def run(argv: list[str]) -> int:
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, RecursionError) as e:
+    except (ValueError, OSError, RecursionError, OverflowError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

@@ -38,10 +38,6 @@ __all__ = [
     "export_dot", "verify_rulebase",
 ]
 
-# The default "inclusions": every family is monotone in its class arguments.
-MONOTONE_FAMILIES = FAMILIES
-
-
 class MissingCitation(SchemaError):
     pass
 
@@ -150,8 +146,14 @@ def load_rulebase(src) -> RuleBase:
         if not isinstance(verify, dict) or verify.get("kind") not in (
                 "propositional", "first-order"):
             raise SchemaError(f"rule {rid}: bad verify kind")
-        if verify["kind"] == "propositional" and not verify.get("skeleton"):
-            raise SchemaError(f"rule {rid}: propositional rule without skeleton")
+        if verify["kind"] == "propositional":
+            skeleton, lemmas = verify.get("skeleton"), verify.get("lemmas", [])
+            if not skeleton or not isinstance(skeleton, str):
+                raise SchemaError(f"rule {rid}: propositional rule without "
+                                  f"a skeleton string: {skeleton!r}")
+            if not isinstance(lemmas, list) or not all(isinstance(m, dict) for m in lemmas):
+                raise SchemaError(f"rule {rid}: lemmas must be a list of objects, "
+                                  f"not {lemmas!r}")
         prem = _patterns(raw.get("premises", []), f"rule {rid}")
         (concl,) = _patterns([raw["conclusion"]], f"rule {rid}")
         rules.append(Rule(rid, prem, concl, guard, cite, dict(verify)))
@@ -163,7 +165,8 @@ def load_rulebase(src) -> RuleBase:
         (unprov,) = _patterns([raw["unprovable"]], f"separation {fid}")
         seps.append(SeparationFact(fid, theory, unprov, guard, cite))
 
-    incl = data.get("inclusions", MONOTONE_FAMILIES)
+    # by default every family is monotone in its class arguments
+    incl = data.get("inclusions", FAMILIES)
     for fam in incl:
         if not isinstance(fam, str) or fam not in FAMILIES:
             raise UnknownFamily(f"unknown family in inclusions: {fam!r}")
@@ -397,7 +400,10 @@ def verify_rulebase(rb: RuleBase) -> Report:
     statuses = []
     counts = {ipc.VERIFIED: 0, ipc.FAILED: 0, ipc.NEEDS_FIRST_ORDER: 0}
     for rule in rb.rules:
-        status = ipc.verify_rule({"verify": rule.verify})
+        try:
+            status = ipc.verify_rule(rule)
+        except ValueError as e:
+            raise ipc.MalformedSkeleton(f"rule {rule.rule_id}: {e}") from None
         counts[status] += 1
         statuses.append((rule.rule_id, status))
     return Report(counts[ipc.VERIFIED], counts[ipc.FAILED],

@@ -5,6 +5,10 @@ Terms are built from variables, 0, successor, +, *, and a Cantor pairing
 function with its two projections.  Formulas use =, <, bot, /\\, \\/, ->,
 and the two quantifiers; negation, <->, and bounded quantifiers are sugar
 that is expanded at parse time (the printer re-sugars the exact patterns).
+
+Propositional formulas are the same connectives over bot and propositional
+letters (PAtom); the printer and the bounded evaluator handle letters, and
+sca.ipc parses them with a subclass of this module's parser.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Iterator, Mapping, Union
 __all__ = [
     "Term", "Var", "Zero", "Succ", "Add", "Mul", "Pair", "Proj0", "Proj1",
     "Formula", "Eq", "Lt", "Bot", "And", "Or", "Imp", "Exists", "Forall",
+    "PAtom", "PropFormula",
     "Not", "Iff", "is_negation", "negand",
     "parse", "parse_term", "format_formula", "format_term",
     "free_vars", "term_vars", "all_names", "fresh_name",
@@ -144,7 +149,15 @@ class Forall:
     body: "Formula"
 
 
+@dataclass(frozen=True, slots=True)
+class PAtom:
+    """A propositional letter: an atom of propositional formulas only."""
+    name: str
+
+
 Formula = Union[Eq, Lt, Bot, And, Or, Imp, Exists, Forall]
+
+PropFormula = Union[PAtom, Bot, And, Or, Imp]
 
 _ATOMS = (Eq, Lt, Bot)
 
@@ -246,6 +259,13 @@ class _Parser:
         kind, tok, pos = self.next()
         if tok != text:
             raise ParseError(f"expected {text!r}, found {tok or 'end of input'!r}", pos)
+
+    def done(self, result):
+        """result, provided the whole input has been read."""
+        kind, tok, pos = self.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input {tok!r}", pos)
+        return result
 
     def at(self, text: str) -> bool:
         return self.peek()[1] == text
@@ -380,20 +400,12 @@ class _Parser:
 def parse(src: str) -> Formula:
     """Parse a formula; raises ParseError with a position on bad input."""
     p = _Parser(src)
-    f = p.formula()
-    kind, tok, pos = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {tok!r}", pos)
-    return f
+    return p.done(p.formula())
 
 
 def parse_term(src: str) -> Term:
     p = _Parser(src)
-    t = p.term()
-    kind, tok, pos = p.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {tok!r}", pos)
-    return t
+    return p.done(p.term())
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +452,16 @@ def format_formula(f: Formula, prec: int = 0) -> str:
     Re-sugars negation and bounded quantifiers exactly when the desugared
     pattern matches.
     """
-    # formula precedence: quantifiers and -> are 1, \/ is 2, /\ is 3, ~ is 4
-    if isinstance(f, Bot):
-        return "bot"
-    if isinstance(f, Eq):
-        return f"{format_term(f.t1)} = {format_term(f.t2)}"
-    if isinstance(f, Lt):
-        return f"{format_term(f.t1)} < {format_term(f.t2)}"
-    if is_negation(f):
-        g = negand(f)
-        if is_negation(g) or isinstance(g, Bot):
-            return f"~{format_formula(g, 4)}"
-        return f"~({format_formula(g)})"
+    # formula precedence: quantifiers and -> are 1, \/ is 2, /\ is 3, ~ is 4;
+    # letters and connectives first, as the prover prints them in its search
+    if isinstance(f, PAtom):
+        return f.name
     if isinstance(f, Imp):
+        if isinstance(f.f2, Bot):
+            g = f.f1
+            if isinstance(g, (PAtom, Bot)) or is_negation(g):
+                return f"~{format_formula(g, 4)}"
+            return f"~({format_formula(g)})"
         s = f"{format_formula(f.f1, 2)} -> {format_formula(f.f2, 1)}"
         return f"({s})" if prec > 1 else s
     if isinstance(f, Or):
@@ -461,6 +470,12 @@ def format_formula(f: Formula, prec: int = 0) -> str:
     if isinstance(f, And):
         s = f"{format_formula(f.f1, 3)} /\\ {format_formula(f.f2, 4)}"
         return f"({s})" if prec > 3 else s
+    if isinstance(f, Bot):
+        return "bot"
+    if isinstance(f, Eq):
+        return f"{format_term(f.t1)} = {format_term(f.t2)}"
+    if isinstance(f, Lt):
+        return f"{format_term(f.t1)} < {format_term(f.t2)}"
     if isinstance(f, (Exists, Forall)):
         q = "E" if isinstance(f, Exists) else "A"
         sugar = bounded_sugar(f)
@@ -617,23 +632,30 @@ def eval_term(t: Term, env: Mapping[str, int]) -> int:
 
 def eval_bounded(f: Formula, env: Mapping[str, int]) -> bool:
     """Classical truth in the standard model, for formulas whose every
-    quantifier is in bounded-sugar form."""
-    if isinstance(f, Eq):
-        return eval_term(f.t1, env) == eval_term(f.t2, env)
-    if isinstance(f, Lt):
-        return eval_term(f.t1, env) < eval_term(f.t2, env)
-    if isinstance(f, Bot):
-        return False
+    quantifier is in bounded-sugar form.  A propositional letter takes its
+    truth value from env."""
+    if isinstance(f, PAtom):
+        return env[f.name]
     if isinstance(f, And):
         return eval_bounded(f.f1, env) and eval_bounded(f.f2, env)
     if isinstance(f, Or):
         return eval_bounded(f.f1, env) or eval_bounded(f.f2, env)
     if isinstance(f, Imp):
         return (not eval_bounded(f.f1, env)) or eval_bounded(f.f2, env)
+    if isinstance(f, Eq):
+        return eval_term(f.t1, env) == eval_term(f.t2, env)
+    if isinstance(f, Lt):
+        return eval_term(f.t1, env) < eval_term(f.t2, env)
+    if isinstance(f, Bot):
+        return False
     sugar = bounded_sugar(f)
     if sugar is None:
         raise UnboundedQuantifier(format_formula(f))
+    # a loop, not any/all over a generator: a generator would make f and
+    # env closure cells, which slows every call, connectives included
     bound, body = sugar
-    limit = eval_term(bound, env)
-    values = (eval_bounded(body, {**env, f.var: i}) for i in range(limit))
-    return any(values) if isinstance(f, Exists) else all(values)
+    exists = isinstance(f, Exists)
+    for i in range(eval_term(bound, env)):
+        if eval_bounded(body, {**env, f.var: i}) == exists:
+            return exists
+    return not exists

@@ -3,6 +3,10 @@ contraction-free sequent calculus, with replayable derivation traces, a
 classical truth-table checker, propositional skeleton extraction for
 first-order formulas, and hybrid verification of rule-base implications.
 
+Propositional formulas are sca.formulas formulas over bot and letters
+(PAtom); this module shares that module's classes, printer, parser and
+evaluator, and keeps the prover's names for them (PAnd is formulas.And).
+
 The left-implication rule is split four ways on the shape of the
 antecedent (atomic / conjunctive / disjunctive / nested implication),
 which makes proof search terminate without a loop check.
@@ -12,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 from . import formulas as fo
-from .formulas import Formula
+from .formulas import And as PAnd, Bot as PBot, Formula, Imp as PImp
+from .formulas import Not as PNot, Or as POr, PAtom, PropFormula
 
 __all__ = [
     "PropFormula", "PAtom", "PBot", "PAnd", "POr", "PImp", "PNot",
@@ -30,136 +35,32 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Propositional formulas
 
-@dataclass(frozen=True, slots=True)
-class PAtom:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class PBot:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PAnd:
-    f1: "PropFormula"
-    f2: "PropFormula"
-
-
-@dataclass(frozen=True, slots=True)
-class POr:
-    f1: "PropFormula"
-    f2: "PropFormula"
-
-
-@dataclass(frozen=True, slots=True)
-class PImp:
-    f1: "PropFormula"
-    f2: "PropFormula"
-
-
-PropFormula = Union[PAtom, PBot, PAnd, POr, PImp]
-
-
-def PNot(f: PropFormula) -> PropFormula:
-    return PImp(f, PBot())
-
-
-class _PropParser:
-    """Same connective grammar as the first-order language, minus
-    quantifiers; atoms are identifiers."""
-
-    def __init__(self, src: str):
-        self.toks = fo._tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def eat(self, text: str) -> bool:
-        if self.peek()[1] == text:
-            self.i += 1
-            return True
-        return False
-
-    def formula(self) -> PropFormula:
-        f = self.imp()
-        while self.eat("<->"):
-            g = self.imp()
-            f = PAnd(PImp(f, g), PImp(g, f))
-        return f
-
-    def imp(self) -> PropFormula:
-        f = self.disj()
-        if self.eat("->"):
-            return PImp(f, self.imp())
-        return f
-
-    def disj(self) -> PropFormula:
-        f = self.conj()
-        while self.eat("\\/"):
-            f = POr(f, self.conj())
-        return f
-
-    def conj(self) -> PropFormula:
-        f = self.unary()
-        while self.eat("/\\"):
-            f = PAnd(f, self.unary())
-        return f
+class _PropParser(fo._Parser):
+    """The connective grammar of the first-order language over
+    propositional atoms: letters, bot, ~ and parentheses.  No quantifiers
+    and no terms, so E, A, S and pair are letters too."""
 
     def unary(self) -> PropFormula:
-        kind, tok, pos = self.peek()
+        kind, tok, pos = self.next()
         if tok == "~":
-            self.next()
             return PNot(self.unary())
         if tok == "(":
-            self.next()
             f = self.formula()
-            k, t, p = self.next()
-            if t != ")":
-                raise fo.ParseError("expected ')'", p)
+            self.expect(")")
             return f
         if tok == "bot":
-            self.next()
             return PBot()
         if kind == "ident":
-            self.next()
             return PAtom(tok)
         raise fo.ParseError(f"expected a propositional formula, found {tok or 'end of input'!r}", pos)
 
 
 def parse_prop(src: str) -> PropFormula:
     p = _PropParser(src)
-    f = p.formula()
-    kind, tok, pos = p.peek()
-    if kind != "eof":
-        raise fo.ParseError(f"trailing input {tok!r}", pos)
-    return f
+    return p.done(p.formula())
 
 
-def format_prop(f: PropFormula, prec: int = 0) -> str:
-    if isinstance(f, PAtom):
-        return f.name
-    if isinstance(f, PBot):
-        return "bot"
-    if isinstance(f, PImp) and isinstance(f.f2, PBot):
-        g = f.f1
-        if isinstance(g, (PAtom, PBot)) or (isinstance(g, PImp) and isinstance(g.f2, PBot)):
-            return f"~{format_prop(g, 4)}"
-        return f"~({format_prop(g)})"
-    if isinstance(f, PImp):
-        s = f"{format_prop(f.f1, 2)} -> {format_prop(f.f2, 1)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(f, POr):
-        s = f"{format_prop(f.f1, 2)} \\/ {format_prop(f.f2, 3)}"
-        return f"({s})" if prec > 2 else s
-    s = f"{format_prop(f.f1, 3)} /\\ {format_prop(f.f2, 4)}"
-    return f"({s})" if prec > 3 else s
+format_prop = fo.format_formula
 
 
 def prop_atoms(f: PropFormula) -> frozenset[str]:
@@ -350,22 +251,10 @@ def validate_trace(tr: Trace) -> bool:
 # ---------------------------------------------------------------------------
 # Classical oracle
 
-def _eval_prop(f: PropFormula, env: Mapping[str, bool]) -> bool:
-    if isinstance(f, PAtom):
-        return env[f.name]
-    if isinstance(f, PBot):
-        return False
-    if isinstance(f, PAnd):
-        return _eval_prop(f.f1, env) and _eval_prop(f.f2, env)
-    if isinstance(f, POr):
-        return _eval_prop(f.f1, env) or _eval_prop(f.f2, env)
-    return (not _eval_prop(f.f1, env)) or _eval_prop(f.f2, env)
-
-
 def prove_classical(f: PropFormula) -> bool:
     """Truth-table validity."""
     names = sorted(prop_atoms(f))
-    return all(_eval_prop(f, dict(zip(names, vals)))
+    return all(fo.eval_bounded(f, dict(zip(names, vals)))
                for vals in itertools.product((False, True), repeat=len(names)))
 
 
@@ -399,12 +288,10 @@ class SkeletonTable:
         return PAtom(name)
 
     def abstract(self, f: Formula) -> PropFormula:
-        if isinstance(f, fo.Bot):
-            return PBot()
-        if isinstance(f, (fo.Eq, fo.Lt, fo.Exists, fo.Forall)):
-            return self._atom_for(f)
-        return {fo.And: PAnd, fo.Or: POr, fo.Imp: PImp}[type(f)](
-            self.abstract(f.f1), self.abstract(f.f2))
+        """f with its atoms and quantified subformulas replaced by letters."""
+        if isinstance(f, (PAnd, POr, PImp)):
+            return type(f)(self.abstract(f.f1), self.abstract(f.f2))
+        return f if isinstance(f, PBot) else self._atom_for(f)
 
 
 def skeletonize(f: Formula) -> PropFormula:
@@ -430,17 +317,25 @@ def _lemma_formula(lemma: Mapping[str, str]) -> PropFormula:
     """The trusted hypothesis a lemma names.  The only shapes admitted are
     the dual laws (dual implies negation; a formula and its dual are
     inconsistent; the double dual is equivalent to the formula) and an
-    assumed class equivalence premise."""
+    assumed class equivalence premise.  Each field a law names must be a
+    string, the letter it stands for."""
     law = lemma.get("law")
+
+    def letter(name: str) -> PAtom:
+        value = lemma.get(name)
+        if not isinstance(value, str):
+            raise MalformedSkeleton(f"lemma {law!r} needs a string {name!r}, not {value!r}")
+        return PAtom(value)
+
     if law == "dual-imp-neg":
-        return PImp(PAtom(lemma["dual"]), PNot(PAtom(lemma["phi"])))
+        return PImp(letter("dual"), PNot(letter("phi")))
     if law == "dual-disjoint":
-        return PNot(PAnd(PAtom(lemma["phi"]), PAtom(lemma["dual"])))
+        return PNot(PAnd(letter("phi"), letter("dual")))
     if law == "dual-involution":
-        a, dd = PAtom(lemma["phi"]), PAtom(lemma["ddual"])
+        a, dd = letter("phi"), letter("ddual")
         return PAnd(PImp(dd, a), PImp(a, dd))
     if law == "delta-premise":
-        a, b = PAtom(lemma["lhs"]), PAtom(lemma["rhs"])
+        a, b = letter("lhs"), letter("rhs")
         return PAnd(PImp(a, b), PImp(b, a))
     raise MalformedSkeleton(f"unknown lemma law: {law!r}")
 
@@ -464,7 +359,7 @@ def verify_rule(rule) -> str:
         raise MalformedSkeleton("propositional rule without a skeleton")
     goal = parse_prop(skeleton)
     hyps = frozenset(_lemma_formula(l) for l in verify.get("lemmas", ()))
-    if len(prop_atoms(goal) | frozenset().union(*(prop_atoms(h) for h in hyps), frozenset())) > _ATOM_BUDGET:
+    if len(prop_atoms(goal).union(*map(prop_atoms, hyps))) > _ATOM_BUDGET:
         raise MalformedSkeleton("skeleton exceeds the atom budget")
     result = prove_ipc(Sequent(hyps, goal))
     return VERIFIED if result.provable else FAILED

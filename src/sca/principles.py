@@ -15,6 +15,7 @@ from typing import Sequence
 from .duality import dual
 from .formulas import (
     And, Exists, Forall, Formula, Iff, Imp, Lt, Not, Or, Var, free_vars,
+    substitute,
 )
 from .hierarchy import ClassLit, HClass, class_subset, relative_classify
 from .nodes import (
@@ -91,8 +92,7 @@ class _Slot:
     formula the schema applies to, the Sigma/Pi sides of a premise
     argument, and the equivalence premise if any."""
 
-    def __init__(self, index: int, lit: ClassLit, witnesses: Sequence[Formula],
-                 offset: int):
+    def __init__(self, lit: ClassLit, witnesses: Sequence[Formula], offset: int):
         self.lit = lit
         if lit.kind == "D":
             phi, psi = witnesses[offset], witnesses[offset + 1]
@@ -147,8 +147,8 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
 
     slots = []
     offset = 0
-    for i, lit in enumerate(class_args):
-        slot = _Slot(i, lit, witnesses, offset)
+    for lit in class_args:
+        slot = _Slot(lit, witnesses, offset)
         offset += slot.consumed
         slots.append(slot)
 
@@ -190,7 +190,6 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
         rhs = Exists("y", And(Lt(Var("y"), Var("x")), Forall("z", s)))
         body = Imp(lhs, rhs)
     elif fam == "LN":
-        from .formulas import substitute
         s_y = substitute(s, "x", Var("y"))
         body = Imp(Exists("x", s),
                    Exists("x", And(s, Forall("y", Imp(Lt(Var("y"), Var("x")),

@@ -156,6 +156,22 @@ class TestVerifyRules:
         ({"rules": [], "inclusions": 5}, "'inclusions'"),
         ({"rules": [], "separations": [{"id": "s1", "theory": 7,
                                         "unprovable": "DNE:S(k)"}]}, "separation s1"),
+        ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
+                     "verify": {"kind": "propositional", "skeleton": 5}}]}, "rule r1"),
+        ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
+                     "verify": {"kind": "propositional", "skeleton": "a",
+                                "lemmas": 5}}]}, "rule r1"),
+        ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
+                     "verify": {"kind": "propositional", "skeleton": "a",
+                                "lemmas": [1]}}]}, "rule r1"),
+        ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
+                     "verify": {"kind": "propositional", "skeleton": "a",
+                                "lemmas": [{"law": "dual-imp-neg", "phi": "a"}]}}]},
+         "rule r1"),
+        ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
+                     "verify": {"kind": "propositional", "skeleton": "a",
+                                "lemmas": [{"law": "dual-imp-neg", "phi": 1,
+                                            "dual": "b"}]}}]}, "rule r1"),
     ])
     def test_malformed_field_named(self, tmp_path, data, named):
         for entry in data["rules"] + data.get("separations", []):
@@ -294,6 +310,14 @@ class TestProcess:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_huge_level_is_domain_error(self):
+        # a level past any index: grounding cannot even size its range
+        proc = _module_run("closure", "--base", "LEM:S1", "--kmax",
+                           "100000000000000000000")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
 
 # Random command lines: subcommands with valid and malformed nodes,
 # formulas and levels, plus stray tokens.
@@ -306,7 +330,7 @@ NODES = ["LEM:S1", "DNE:S0", "DML:S1:P1", "DML:S1", "DNEOR:P1:P1", "COLL:P2",
          "LEM:DPI:D1", "LEM:P0", "LEM:nS1", "CD:nS1:nP1", "PEIRCE:S1", "LN:P1",
          "DNS:S0", "DUAL:DSI:D1", "WDUAL:P1", "LEMBOT:S1", "DMLBOT:DPI:D1:S1",
          "DNE:S9", "FOO:S1", "DNE:X1", "LEM:S1:S1", "CD:nS1:THETA", "LEM:", ":", ""]
-LEVELS = ["0", "1", "2", "3", "4", "-1", "x", ""]
+LEVELS = ["0", "1", "2", "3", "4", "-1", "x", "", "100000000000000000000"]
 STRAY = ["--json", "--trace", "--help", "--kmax", "--frob", "extra", "--base"]
 
 

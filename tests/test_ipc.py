@@ -46,13 +46,13 @@ def _forces(w, f, rel, val):
     name = type(f).__name__
     if name == "PAtom":
         return val[(w, f.name)]
-    if name == "PBot":
+    if name == "Bot":
         return False
-    if name == "PAnd":
+    if name == "And":
         return _forces(w, f.f1, rel, val) and _forces(w, f.f2, rel, val)
-    if name == "POr":
+    if name == "Or":
         return _forces(w, f.f1, rel, val) or _forces(w, f.f2, rel, val)
-    if name == "PImp":
+    if name == "Imp":
         return all(not _forces(v, f.f1, rel, val) or _forces(v, f.f2, rel, val)
                    for (u, v) in rel if u == w)
     raise TypeError(name)
@@ -121,6 +121,24 @@ class TestProveIpc:
         result = prove_ipc(f)
         if result.provable:
             assert validate_trace(result.trace)
+
+
+class TestPropSyntax:
+    @given(props())
+    @settings(max_examples=200, deadline=None)
+    def test_print_parse_round_trip(self, f):
+        assert parse_prop(format_prop(f)) == f
+
+    @pytest.mark.parametrize("src, printed", [
+        ("~a", "~a"),
+        ("~(a -> b)", "~(a -> b)"),
+        ("bot", "bot"),
+        ("a <-> b", "(a -> b) /\\ (b -> a)"),
+    ])
+    def test_hand_cases(self, src, printed):
+        f = parse_prop(src)
+        assert format_prop(f) == printed
+        assert parse_prop(printed) == f
 
 
 class TestProveClassical:
