@@ -10,6 +10,11 @@ separation fact.  Closure is its least fixpoint, computed by one worklist
 in which an arriving node queues the nodes it covers in the class
 inclusion order and the rule instances it completes; queries answer with
 a replayable chain, a citation-backed separation, or Unknown.
+Equivalence classes are found by elimination: a candidate whose closure
+lacks the node rules out every node of that closure.  What the engine
+keeps between calls, a program per level cap and the cover steps of the
+nodes closures reach, grows with the ground programs, not with the
+number of requests served.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -233,12 +239,13 @@ def _ground(pats: tuple[NodePat, ...], guard: str | None, k: int) -> list[Node] 
 def _program(rb: RuleBase, k_max: int):
     """The ground program of the rule base at a level cap, built once:
     (insts, watch, counts, facts).  insts lists the rule instances (rule
-    id, premise texts, conclusion text, conclusion node), an instance with
+    id, premise texts, conclusion text, conclusion level), an instance with
     a node above k_max being a clamp marker (conclusion text None); watch
     maps each premise text, or None for no premise, to the indices of the
     instances that have it; counts holds each instance's number of
     distinct premises; facts lists every separation fact's ground (fact,
-    k, theory texts, unprovable text) within the cap, in file order."""
+    k, theory texts, unprovable text) within the cap, in file order.
+    Node texts are interned, so all instances share one string per node."""
     if k_max not in rb._programs:
         insts, counts, facts = [], [], []
         watch: dict[str | None, list[int]] = {}
@@ -246,11 +253,12 @@ def _program(rb: RuleBase, k_max: int):
             ground = _ground(rule.premises + (rule.conclusion,), rule.guard, k)
             if ground is not None:
                 *prems, concl = ground
-                texts = tuple(map(str, prems))
+                texts = tuple(sys.intern(str(p)) for p in prems)
                 clamp = any(g.level > k_max for g in ground)
                 for p in set(texts) or (None,):
                     watch.setdefault(p, []).append(len(insts))
-                insts.append((rule.rule_id, texts, None if clamp else str(concl), concl))
+                insts.append((rule.rule_id, texts,
+                              None if clamp else sys.intern(str(concl)), concl.level))
                 counts.append(len(set(texts)))
         for fact, k in itertools.product(rb.separations, range(k_max + 1)):
             ground = _ground(fact.theory + (fact.unprovable,), fact.guard, k)
@@ -298,9 +306,9 @@ def _closure_detail(assumed: frozenset[str], rb: RuleBase, k_max: int,
     while todo:
         if rng is not None:
             todo.rotate(rng.randrange(len(todo)))
-        rid, prems, n, node = todo.popleft()
+        rid, prems, n, level = todo.popleft()
         if n is None:
-            clamped.add(node.level)
+            clamped.add(level)
             continue
         if n in nodes:
             continue
@@ -370,18 +378,28 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
 
 def equivalence_class(node: str, base: TheoryContext, rb: RuleBase) -> frozenset[str]:
     """All nodes inter-derivable with the given node over HA plus the
-    base context."""
+    base context.
+
+    Found by elimination over the forward closure of base + node, in
+    sorted order: when a candidate's closure lacks the node, so does the
+    closure of every node in it (closure is monotone and idempotent), and
+    all of them are ruled out without a closure of their own."""
     parsed = Node.parse(node).canonical()
     node = str(parsed)
     if parsed.level > base.k_max - 2:
         raise LevelOutOfRange(
             f"{node} needs k_max >= level + 2 (k_max={base.k_max})")
     fwd, _s, _c = _closure_detail(base.assumed | {node}, rb, base.k_max)
-    out = set()
-    for cand in fwd:
+    out: set[str] = set()
+    ruled_out: set[str] = set()
+    for cand in sorted(fwd):
+        if cand in ruled_out:
+            continue
         back, _s2, _c2 = _closure_detail(base.assumed | {cand}, rb, base.k_max)
         if node in back:
             out.add(cand)
+        else:
+            ruled_out |= back
     return frozenset(out)
 
 

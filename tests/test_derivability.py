@@ -10,7 +10,7 @@ import random
 import runpy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sca.derivability import (
@@ -52,12 +52,26 @@ def _down_set(text: str, incl: frozenset[str]) -> frozenset[str]:
                      for args in itertools.product(*per_arg))
 
 
+_INSTANCES: dict = {}
+
+
+def _oracle_instances(rb, k_max: int) -> list:
+    """Every ground rule instance within levels 0..k_max as (premise
+    set, conclusion); kept per rule base and cap, with the rule base, so
+    that an oracle closure does not ground the rules again."""
+    key = (id(rb), k_max)
+    if key not in _INSTANCES:
+        _INSTANCES[key] = rb, [
+            (frozenset(g[:-1]), g[-1]) for r in rb.rules for k in range(k_max + 1)
+            if (g := _ground(r.premises + (r.conclusion,), r.guard, k, k_max))]
+    return _INSTANCES[key][1]
+
+
 def _oracle_closure(assumed, rb, k_max: int) -> frozenset[str]:
-    instances = [g for r in rb.rules for k in range(k_max + 1)
-                 if (g := _ground(r.premises + (r.conclusion,), r.guard, k, k_max))]
+    instances = _oracle_instances(rb, k_max)
     nodes = set(assumed)
     while True:
-        new = {g[-1] for g in instances if all(p in nodes for p in g[:-1])}
+        new = {concl for prems, concl in instances if prems <= nodes}
         new.update(*(_down_set(n, rb.inclusions) for n in nodes))
         if new <= nodes:
             return frozenset(nodes)
@@ -82,6 +96,58 @@ def _assert_chain_replays(chain, ctx, goal: str, rb) -> None:
                        for k in range(ctx.k_max + 1)), rule_id
         known.add(conclusion)
     assert canonical_node(goal) in known
+
+
+def _oracle_query(ctx, goal: str, rb, theory_closures: dict) -> tuple:
+    """The answer query must give, found with the oracle: DERIVABLE; the
+    first separation fact, in file order and then by k, whose theory
+    proves all of the context and whose unprovable node follows from the
+    context plus the goal; or UNKNOWN with the boundary warning of the
+    clamped conclusions the context's closure reaches.  theory_closures
+    memoizes oracle closures of theories over this rule base."""
+    have = _oracle_closure(ctx.assumed, rb, ctx.k_max)
+    if goal in have:
+        return ("DERIVABLE",)
+    with_goal = _oracle_closure(ctx.assumed | {goal}, rb, ctx.k_max)
+    for fact in rb.separations:
+        for k in range(ctx.k_max + 1):
+            g = _ground(fact.theory + (fact.unprovable,), fact.guard, k, ctx.k_max)
+            if g is None or g[-1] not in with_goal:
+                continue
+            theory = tuple(g[:-1])
+            key = (theory, ctx.k_max)
+            if key not in theory_closures:
+                theory_closures[key] = _oracle_closure(theory, rb, ctx.k_max)
+            if have <= theory_closures[key]:
+                return ("SEPARATED", fact.fact_id, k, theory, g[-1])
+    clamped = set()
+    for rule in rb.rules:
+        for k in range(ctx.k_max + 1):
+            if rule.guard and not eval(  # noqa: S307 - trusted test data
+                    rule.guard.replace("k", str(k))):
+                continue
+            *prems, concl = [p.at(k) for p in rule.premises + (rule.conclusion,)]
+            if (concl is not None and concl.level > ctx.k_max and None not in prems
+                    and {str(p) for p in prems} <= have):
+                clamped.add(concl.level)
+    involved = {node_level(n) for n in ctx.assumed | {goal}}
+    return ("UNKNOWN", any(abs(c - m) <= 2 for c in clamped for m in involved))
+
+
+def _answer(res) -> tuple:
+    if isinstance(res, Derivable):
+        return ("DERIVABLE",)
+    if isinstance(res, Separated):
+        w = res.witness
+        return ("SEPARATED", res.fact_id, w["k"], tuple(w["theory"]), w["unprovable"])
+    return ("UNKNOWN", res.boundary_warning)
+
+
+def _pool(rb) -> list[str]:
+    """Nodes the shipped rules mention at k 1 and 2, up to level 3."""
+    return sorted({str(n) for r in rb.rules
+                   for p in r.premises + (r.conclusion,) for k in (1, 2)
+                   if (n := p.at(k)) is not None and n.level <= 3})
 
 
 def _mini(rules=(), separations=(), inclusions=("LEM", "DNE")):
@@ -135,6 +201,31 @@ class TestLoadRulebase:
     def test_equality_ignores_memos(self, rb):
         closure(TheoryContext.make({"LEM:S1"}, 3), rb)
         assert load_default_rulebase() == rb
+
+    def test_memos_bounded_by_the_ground_program(self):
+        """Serving many distinct requests leaves one ground program per
+        level cap used, unchanged in size, and cover steps only for nodes
+        that some closure reached: nothing the engine keeps grows with the
+        requests served."""
+        rb = load_default_rulebase()
+        pool, rng = _pool(rb), random.Random(7)
+        bases = set()
+        while len(bases) < 60:
+            bases.add(frozenset(rng.sample(pool, rng.randint(1, 3))))
+        queries = [(TheoryContext.make(b, 3), rng.choice(pool)) for b in sorted(bases, key=sorted)]
+        query(*queries[0], rb)
+        sizes = [len(part) for part in rb._programs[3]]
+        for ctx, goal in queries[1:]:
+            query(ctx, goal, rb)
+        covered = set(rb._covers)
+        assert set(vars(rb)) == {"rules", "separations", "inclusions", "_programs", "_covers"}
+        assert list(rb._programs) == [3]
+        assert [len(part) for part in rb._programs[3]] == sizes
+        theories = {theory for _fact, _k, theory, _unprov in rb._programs[3][3]}
+        reached = set().union(
+            *(closure(TheoryContext.make(ctx.assumed | {goal}, 3), rb) for ctx, goal in queries),
+            *(closure(TheoryContext.make(theory, 3), rb) for theory in theories))
+        assert covered <= reached
 
     def test_generator_reproduces_shipped_file(self):
         root = pathlib.Path(__file__).resolve().parent.parent
@@ -294,6 +385,57 @@ class TestQuery:
         if isinstance(res, Derivable):
             _assert_chain_replays(res.chain, ctx, goal, rb)
 
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_separation_agrees_with_oracle(self, rb, data):
+        """For a goal outside the closure, the verdict, the witness of the
+        first separation fact in file order and the boundary warning are
+        those the oracle finds."""
+        k_max = data.draw(st.integers(3, 4))
+        ctx = TheoryContext.make(data.draw(st.sets(st.sampled_from(_pool(rb)), max_size=3)),
+                                 k_max)
+        outside = sorted(set(_pool(rb)) - _oracle_closure(ctx.assumed, rb, k_max))
+        assume(outside)
+        goal = data.draw(st.sampled_from(outside))
+        assert _answer(query(ctx, goal, rb)) == _oracle_query(ctx, goal, rb, self.THEORIES)
+
+    # oracle closures of the shipped rule base's separation theories
+    THEORIES: dict = {}
+
+    CLAMP_RULES = [
+        # fires at every k, cut off at the cap
+        {"id": "r1", "premises": ["LEM:S(k)"], "conclusion": "DNE:S(k+1)", "cite": CITE},
+        # premise-free, cut off at the cap
+        {"id": "r2", "premises": [], "conclusion": "DNS:S(k+1)", "cite": CITE},
+        {"id": "r3", "premises": ["DNE:S(k)"], "conclusion": "DML:S(k)", "cite": CITE},
+        {"id": "r4", "premises": [], "conclusion": "LEM:S(k)", "guard": "k==0", "cite": CITE},
+    ]
+    CLAMP_SEPARATIONS = [
+        {"id": "s1", "theory": ["DNE:S(k)"], "unprovable": "LEM:S(k)", "guard": "k>=1",
+         "cite": CITE},
+        {"id": "s2", "theory": [], "unprovable": "DML:S(k)", "guard": "k>=2", "cite": CITE},
+        {"id": "s3", "theory": ["DML:S(k)"], "unprovable": "LEM:P(k)", "cite": CITE},
+    ]
+
+    def test_clamp_base_agrees_with_oracle(self):
+        """The same over a rule base with clamped and premise-free clamped
+        rules, for every context of at most two nodes and every goal."""
+        rb = _mini(rules=self.CLAMP_RULES, separations=self.CLAMP_SEPARATIONS)
+        pool = sorted({canonical_node(f"{fam}:{c}{lvl}") for fam in ("LEM", "DNE", "DML", "DNS")
+                       for c in "SP" for lvl in range(4)})
+        outcomes = set()
+        for k_max in range(1, 5):
+            nodes = [n for n in pool if node_level(n) <= k_max]
+            for base in itertools.chain([()], itertools.combinations(nodes, 1),
+                                        itertools.combinations(nodes[::3], 2)):
+                ctx = TheoryContext.make(base, k_max)
+                for goal in nodes:
+                    want = _oracle_query(ctx, goal, rb, {})
+                    assert _answer(query(ctx, goal, rb)) == want, (base, k_max, goal)
+                    outcomes.add((want[0], want[-1] if want[0] == "UNKNOWN" else None))
+        assert outcomes == {("DERIVABLE", None), ("SEPARATED", None),
+                            ("UNKNOWN", True), ("UNKNOWN", False)}
+
     def test_unknown_with_boundary_warning(self, rb):
         # goal at the cap with a strong context: clamping interferes
         res = query(TheoryContext.make({"LEM:S1"}, 1), "COLL:P1", rb)
@@ -354,6 +496,20 @@ class TestEquivalenceClass:
     def test_headroom_required(self, rb):
         with pytest.raises(LevelOutOfRange):
             equivalence_class("DNE:S2", TheoryContext.make((), 3), rb)
+
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_agrees_with_oracle(self, rb, data):
+        """The class is every node of the forward closure whose own
+        closure, with the base, reaches the node, over bases of up to two
+        nodes."""
+        k_max = data.draw(st.integers(3, 4))
+        pool = _pool(rb)
+        node = data.draw(st.sampled_from([n for n in pool if node_level(n) <= k_max - 2]))
+        base = TheoryContext.make(data.draw(st.sets(st.sampled_from(pool), max_size=2)), k_max)
+        fwd = _oracle_closure(base.assumed | {node}, rb, k_max)
+        want = {m for m in fwd if node in _oracle_closure(base.assumed | {m}, rb, k_max)}
+        assert equivalence_class(node, base, rb) == want
 
 
 class TestVerifyRulebase:
