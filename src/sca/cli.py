@@ -30,10 +30,6 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _hclass_text(c: hierarchy.HClass) -> str:
-    return f"{c.polarity} {c.level}"
-
-
 def _load_rulebase(args) -> derivability.RuleBase:
     path = getattr(args, "rulebase", None) or os.environ.get("SCA_RULEBASE")
     if path:
@@ -89,7 +85,7 @@ def _trace_json(tr: ipc.Trace) -> dict:
 
 def _cmd_classify(args) -> int:
     c = hierarchy.classify_prenex(parse(args.formula))
-    _emit(args, {"polarity": c.polarity, "level": c.level}, _hclass_text(c))
+    _emit(args, {"polarity": c.polarity, "level": c.level}, str(c))
     return 0
 
 
@@ -109,7 +105,7 @@ def _cmd_relclassify(args) -> int:
     theory = _split_nodes(args.theory)
     c = hierarchy.relative_classify(parse(args.formula), theory)
     _emit(args, {"polarity": c.polarity, "level": c.level, "theory": theory},
-          _hclass_text(c))
+          str(c))
     return 0
 
 

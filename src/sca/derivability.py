@@ -39,6 +39,7 @@ __all__ = [
     "Rule", "SeparationFact", "RuleBase", "TheoryContext",
     "Derivable", "Separated", "Unknown", "Report",
     "SchemaError", "MissingCitation", "UnknownFamily", "LevelOutOfRange",
+    "K_MAX_LIMIT",
     "parse_pattern", "ground_pattern", "canonical_node", "node_level",
     "load_rulebase", "closure", "query", "equivalence_class",
     "export_dot", "verify_rulebase",
@@ -50,6 +51,11 @@ class MissingCitation(SchemaError):
 
 class LevelOutOfRange(ValueError):
     pass
+
+
+# The highest level cap a context accepts: grounding costs time and memory
+# linear in the cap.
+K_MAX_LIMIT = 100
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +200,11 @@ class TheoryContext:
     k_max: int
 
     def __post_init__(self):
-        """Spell the assumed nodes canonically and check their levels."""
+        """Check the level cap, spell the assumed nodes canonically and
+        check their levels."""
+        if self.k_max > K_MAX_LIMIT:
+            raise LevelOutOfRange(
+                f"k_max={self.k_max} exceeds the limit {K_MAX_LIMIT}")
         canon = {Node.parse(n).canonical() for n in self.assumed}
         for n in canon:
             if n.level > self.k_max:

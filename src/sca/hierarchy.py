@@ -204,28 +204,30 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
         (vacuously when k < 0: the class is empty)."""
         return k < 0 or str(Node(pid, (ClassLit(0, "S", k),) * pid.arity)) in t
 
+    def quantified(q: str, c: HClass, bounded: bool) -> HClass:
+        """The class of a quantifier of polarity q over a body of class c:
+        a body of the quantifier's own polarity is absorbed; a bounded
+        quantifier collapses to the dual class when the theory assumes
+        DML at level j and DNE at level j-1 (j = k for E, k-1 for A);
+        otherwise the quantifier goes up one level."""
+        k = c.level
+        if class_subset(c, HClass(q, k)):
+            return HClass(q, max(k, 1))
+        j = k if q == SIGMA else k - 1
+        if bounded and assumes(_DML, j) and assumes(_DNE, j - 1):
+            return HClass(PI if q == SIGMA else SIGMA, k)
+        return HClass(q, k + 1)
+
     def go(g: Formula) -> HClass:
         try:
             return classify_prenex(g)
         except NotPrenex:
             pass
-        b = bounded_sugar(g)
-        if b is not None:
-            c = go(b[1]).canonical()
-            k = c.level
-            if isinstance(g, Exists):
-                if c.polarity == SIGMA:
-                    return HClass(SIGMA, max(k, 1))
-                if assumes(_DML, k) and assumes(_DNE, k - 1):
-                    return HClass(PI, k)
-                return HClass(SIGMA, k + 1)
-            if c.polarity == PI and k >= 1:
-                return HClass(PI, k)
-            if k == 0:
-                return HClass(PI, 1)
-            if assumes(_DML, k - 1) and assumes(_DNE, k - 2):
-                return HClass(SIGMA, k)
-            return HClass(PI, k + 1)
+        if isinstance(g, (Exists, Forall)):
+            b = bounded_sugar(g)
+            body = g.body if b is None else b[1]
+            q = SIGMA if isinstance(g, Exists) else PI
+            return quantified(q, go(body).canonical(), b is not None)
         if is_negation(g):
             c = go(negand(g)).canonical()
             k = c.level
@@ -235,17 +237,6 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
                 return HClass(PI, k)
             if c.polarity == PI and assumes(_DNE, k):
                 return HClass(SIGMA, k)
-            raise Unclassifiable(g)
-        if isinstance(g, Exists):
-            c = go(g.body).canonical()
-            if c.polarity == SIGMA:
-                return HClass(SIGMA, max(c.level, 1))
-            return HClass(SIGMA, c.level + 1)
-        if isinstance(g, Forall):
-            c = go(g.body).canonical()
-            if c.polarity == PI and c.level >= 1:
-                return HClass(PI, c.level)
-            return HClass(PI, c.level + 1)
         raise Unclassifiable(g)
 
     return go(f)

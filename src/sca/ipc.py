@@ -27,7 +27,7 @@ __all__ = [
     "Sequent", "Trace", "ProofResult",
     "parse_prop", "format_prop", "prop_atoms",
     "prove_ipc", "prove_classical", "validate_trace",
-    "skeletonize", "SkeletonTable", "MalformedSkeleton",
+    "skeletonize", "MalformedSkeleton",
     "verify_rule", "VERIFIED", "FAILED", "NEEDS_FIRST_ORDER",
 ]
 
@@ -120,13 +120,13 @@ def _search(hyps: frozenset, goal: PropFormula,
     seq = Sequent(hyps, goal)
     if seq in cache:
         return cache[seq]
-    tr = _step(hyps, goal, cache)
+    tr = _step(seq, cache)
     cache[seq] = tr
     return tr
 
 
-def _step(hyps: frozenset, goal: PropFormula, cache) -> "Trace | None":
-    seq = Sequent(hyps, goal)
+def _step(seq: Sequent, cache) -> "Trace | None":
+    hyps, goal = seq.hypotheses, seq.goal
 
     if any(isinstance(h, PBot) for h in hyps):
         return Trace("L-bot", seq, PBot(), ())
@@ -269,40 +269,31 @@ _ATOM_BUDGET = 12
 _ATOM_NAMES = "abcdefghijkl"
 
 
-class SkeletonTable:
-    """Shared atom table so several formulas can be skeletonized jointly;
-    alpha-equivalent subformulas map to the same atom."""
-
-    def __init__(self) -> None:
-        self._atoms: dict[Formula, str] = {}
-
-    def _atom_for(self, f: Formula) -> PAtom:
-        key = fo.alpha_normal(f)
-        name = self._atoms.get(key)
-        if name is None:
-            if len(self._atoms) >= _ATOM_BUDGET:
-                raise MalformedSkeleton(
-                    f"skeleton needs more than {_ATOM_BUDGET} distinct atoms")
-            name = _ATOM_NAMES[len(self._atoms)]
-            self._atoms[key] = name
-        return PAtom(name)
-
-    def abstract(self, f: Formula) -> PropFormula:
-        """f with its atoms and quantified subformulas replaced by letters."""
-        if isinstance(f, (PAnd, POr, PImp)):
-            return type(f)(self.abstract(f.f1), self.abstract(f.f2))
-        return f if isinstance(f, PBot) else self._atom_for(f)
-
-
 def skeletonize(f: Formula) -> PropFormula:
     """Propositional skeleton: every maximal quantified subformula and
-    every atomic formula becomes a propositional atom (bot is kept).
+    every atomic formula becomes a propositional atom (bot is kept);
+    alpha-equivalent subformulas become the same atom.
 
     If the skeleton is provable in intuitionistic propositional logic,
     the original formula is intuitionistically valid (uniform
     substitution).
     """
-    return SkeletonTable().abstract(f)
+    atoms: dict[Formula, str] = {}
+
+    def abstract(g: Formula) -> PropFormula:
+        if isinstance(g, (PAnd, POr, PImp)):
+            return type(g)(abstract(g.f1), abstract(g.f2))
+        if isinstance(g, PBot):
+            return g
+        key = fo.alpha_normal(g)
+        if key not in atoms:
+            if len(atoms) >= _ATOM_BUDGET:
+                raise MalformedSkeleton(
+                    f"skeleton needs more than {_ATOM_BUDGET} distinct atoms")
+            atoms[key] = _ATOM_NAMES[len(atoms)]
+        return PAtom(atoms[key])
+
+    return abstract(f)
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,14 @@ CATALOG: tuple[tuple[PrincipleId, str], ...] = (
     (PrincipleId("LEM", DELTA_SIGMA, 1), "(phi <-> psi) -> phi \\/ dual(phi)"),
     (PrincipleId("LEM", DELTA_PI, 1), "(phi <-> psi) -> psi \\/ dual(psi)"),
     (PrincipleId("DNE", PLAIN, 1), "~~phi -> phi"),
-    (PrincipleId("DNS", PLAIN, 1), "A x. ~~phi -> ~~A x. phi"),
+    (PrincipleId("DNS", PLAIN, 1), "(A x. ~~phi) -> ~~A x. phi"),
     (PrincipleId("DML", PLAIN, 2), "~(phi /\\ psi) -> ~phi \\/ ~psi"),
     (PrincipleId("CD", PLAIN, 2),
-     "A x. (phi \\/ psi) -> phi \\/ A x. psi, with x not free in phi"),
+     "(A x. (phi \\/ psi)) -> phi \\/ A x. psi, with x not free in phi"),
     (PrincipleId("COLL", PLAIN, 1),
-     "A w. E y < x. A z < w. phi -> E y < x. A z. phi"),
+     "(A w. E y < x. A z < w. phi) -> E y < x. A z. phi"),
     (PrincipleId("LN", PLAIN, 1),
-     "E x. phi -> E x. (phi /\\ A y < x. ~phi(y))"),
+     "(E x. phi) -> E x. (phi /\\ A y < x. ~phi(y))"),
     (PrincipleId("PEIRCE", PLAIN, 1), "((phi -> psi) -> phi) -> phi"),
     (PrincipleId("DUAL", PLAIN, 1), "~phi -> dual(phi)"),
     (PrincipleId("DUAL", DELTA_SIGMA, 1), "(phi <-> psi) -> (~phi -> dual(phi))"),

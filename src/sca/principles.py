@@ -10,6 +10,7 @@ node text syntax are defined in the nodes module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 from .duality import dual
@@ -51,6 +52,9 @@ class PrincipleInstance:
     rendered: Formula
 
 
+_CATALOG_IDS = frozenset(pid for pid, _ in CATALOG)
+
+
 def catalog() -> list[tuple[PrincipleId, str]]:
     """The full fixed catalog of (id, schema description) pairs."""
     return list(CATALOG)
@@ -87,41 +91,6 @@ def _neg(f: Formula, times: int) -> Formula:
     return f
 
 
-class _Slot:
-    """One class argument resolved against its witnesses: the subject
-    formula the schema applies to, the Sigma/Pi sides of a premise
-    argument, and the equivalence premise if any."""
-
-    def __init__(self, lit: ClassLit, witnesses: Sequence[Formula], offset: int):
-        self.lit = lit
-        if lit.kind == "D":
-            phi, psi = witnesses[offset], witnesses[offset + 1]
-            _check_class(offset, phi, HClass("Sigma", lit.level))
-            _check_class(offset + 1, psi, HClass("Pi", lit.level))
-            self.sigma_side, self.pi_side = phi, psi
-            self.premise: Formula | None = Iff(phi, psi)
-            self.subject = _neg(phi, lit.neg)
-            self.consumed = 2
-        else:
-            phi = witnesses[offset]
-            polarity = "Sigma" if lit.kind == "S" else "Pi"
-            _check_class(offset, phi, HClass(polarity, lit.level))
-            self.sigma_side = self.pi_side = phi
-            self.premise = None
-            self.subject = _neg(phi, lit.neg)
-            self.consumed = 1
-
-
-def _with_premises(slots: Sequence[_Slot], body: Formula) -> Formula:
-    premises = [s.premise for s in slots if s.premise is not None]
-    if not premises:
-        return body
-    antecedent = premises[0]
-    for p in premises[1:]:
-        antecedent = And(antecedent, p)
-    return Imp(antecedent, body)
-
-
 def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
                 witnesses: Sequence[Formula]) -> PrincipleInstance:
     """Render the schema body with the given witnesses substituted.
@@ -131,7 +100,7 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
     arbitrary formula for PEIRCE.  Witness classes are checked with
     relative_classify over the base theory alone.
     """
-    if pid not in {p for p, _ in CATALOG}:
+    if pid not in _CATALOG_IDS:
         raise ArityMismatch(f"not in the catalog: {pid}")
     node = node_of(pid, class_args)
 
@@ -145,41 +114,47 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
         raise ArityMismatch(
             f"{node} takes {expected} witness(es), got {len(witnesses)}")
 
-    slots = []
+    # Per class argument: the subject the schema applies to (the Sigma
+    # side, negated as the literal says), the formula whose dual the
+    # dual-taking schemas take, and the equivalence premise of a D
+    # argument.
+    subjects: list[Formula] = []
+    dualized: list[Formula] = []
+    premises: list[Formula] = []
     offset = 0
-    for lit in class_args:
-        slot = _Slot(lit, witnesses, offset)
-        offset += slot.consumed
-        slots.append(slot)
+    for i, lit in enumerate(class_args):
+        phi = witnesses[offset]
+        _check_class(offset, phi, HClass("Pi" if lit.kind == "P" else "Sigma", lit.level))
+        subject = _neg(phi, lit.neg)
+        if lit.kind == "D":
+            psi = witnesses[offset + 1]
+            _check_class(offset + 1, psi, HClass("Pi", lit.level))
+            premises.append(Iff(phi, psi))
+            dualized.append(psi if i == 0 and pid.variant == DELTA_PI else phi)
+            offset += 1
+        else:
+            dualized.append(subject)
+        offset += 1
+        subjects.append(subject)
 
     fam, var = pid.family, pid.variant
-    s = slots[0].subject
+    s, s2 = subjects[0], subjects[-1]  # s2 is s for a unary schema
+    # The schemas LEM, DUAL and WDUAL apply to the subject in their plain
+    # variant and to the Delta variant's chosen side otherwise.
+    side = s if var == PLAIN else dualized[0]
     if fam == "LEM":
-        if var == PLAIN:
-            body: Formula = Or(s, Not(s))
-        else:
-            side = slots[0].sigma_side if var == DELTA_SIGMA else slots[0].pi_side
-            body = Or(side, dual(side))
+        body: Formula = Or(s, Not(s)) if var == PLAIN else Or(side, dual(side))
     elif fam == "DNE":
         body = Imp(Not(Not(s)), s)
     elif fam == "DNS":
         body = Imp(Forall("x", Not(Not(s))), Not(Not(Forall("x", s))))
     elif fam == "DML":
-        s2 = slots[1].subject
         body = Imp(Not(And(s, s2)), Or(Not(s), Not(s2)))
     elif fam == "DMLBOT":
-        s2 = slots[1].subject
-        if var == DELTA_PI:
-            d1 = dual(slots[0].pi_side)
-        else:
-            d1 = dual(slots[0].sigma_side if slots[0].lit.kind == "D" else s)
-        d2 = dual(slots[1].sigma_side if slots[1].lit.kind == "D" else s2)
-        body = Imp(Not(And(s, s2)), Or(d1, d2))
+        body = Imp(Not(And(s, s2)), Or(dual(dualized[0]), dual(dualized[1])))
     elif fam == "DNEOR":
-        s2 = slots[1].subject
         body = Imp(Not(Not(Or(s, s2))), Or(s, s2))
     elif fam == "CD":
-        s2 = slots[1].subject
         if "x" in free_vars(s):
             raise SideConditionViolated("x must not be free in the first witness")
         body = Imp(Forall("x", Or(s, s2)), Or(s, Forall("x", s2)))
@@ -198,21 +173,13 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
         psi = witnesses[-1]
         body = Imp(Imp(Imp(s, psi), s), s)
     elif fam == "DUAL":
-        if var == PLAIN:
-            body = Imp(Not(s), dual(s))
-        else:
-            side = slots[0].sigma_side if var == DELTA_SIGMA else slots[0].pi_side
-            body = Imp(Not(side), dual(side))
+        body = Imp(Not(side), dual(side))
     elif fam == "WDUAL":
-        if var == PLAIN:
-            body = Imp(Not(dual(s)), Not(Not(s)))
-        else:
-            side = slots[0].sigma_side if var == DELTA_SIGMA else slots[0].pi_side
-            body = Imp(Not(dual(side)), Not(Not(side)))
+        body = Imp(Not(dual(side)), Not(Not(side)))
     elif fam == "LEMBOT":
         body = Or(s, dual(s))
     else:
         raise ArityMismatch(f"unknown family: {fam}")
 
-    rendered = _with_premises(slots, body)
+    rendered = Imp(reduce(And, premises), body) if premises else body
     return PrincipleInstance(pid, tuple(class_args), tuple(witnesses), rendered)

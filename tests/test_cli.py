@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sca.cli import run
+from sca.derivability import K_MAX_LIMIT
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -317,6 +318,17 @@ class TestProcess:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+        assert "k_max" in proc.stderr
+
+    @pytest.mark.parametrize("command", [
+        ["closure", "--base", "LEM:S1"],
+        ["query", "--base", "LEM:S1", "--goal", "DNE:S1"],
+        ["equiv", "DNE:S1"],
+    ])
+    def test_level_cap_past_limit_is_domain_error(self, capsys, command):
+        code, _, err = _run(capsys, *command, "--kmax", str(K_MAX_LIMIT + 1))
+        assert code == 1
+        assert err == f"error: k_max={K_MAX_LIMIT + 1} exceeds the limit {K_MAX_LIMIT}\n"
 
 
 # Random command lines: subcommands with valid and malformed nodes,

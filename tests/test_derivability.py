@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sca.derivability import (
-    Derivable, LevelOutOfRange, MissingCitation, SchemaError, Separated,
+    K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation, SchemaError, Separated,
     TheoryContext, Unknown, UnknownFamily, canonical_node, closure,
     equivalence_class, export_dot, load_default_rulebase, load_rulebase,
     node_level, query, verify_rulebase,
@@ -314,6 +314,15 @@ class TestClosure:
         rb = _mini(rules=[{"id": "r1", "premises": ["DML:S(k):P(k)", "DML:P(k):S(k)"],
                            "conclusion": "DNE:S(k)", "cite": CITE}], inclusions=())
         assert "DNE:S1" in closure(TheoryContext.make({"DML:S1:P1"}, 1), rb)
+
+    def test_level_cap_limit(self, rb):
+        # At the limit the cap grounds; no shipped rule concludes above its
+        # premises' level, so a cap past the base's levels adds no node.
+        at_limit = closure(TheoryContext.make({"LEM:S1"}, K_MAX_LIMIT), rb)
+        assert at_limit == closure(TheoryContext.make({"LEM:S1"}, 10), rb)
+        with pytest.raises(LevelOutOfRange, match=f"k_max={K_MAX_LIMIT + 1} "
+                           f"exceeds the limit {K_MAX_LIMIT}"):
+            TheoryContext.make({"LEM:S1"}, K_MAX_LIMIT + 1)
 
     @given(nodes=st.sets(st.sampled_from(
         ["LEM:S1", "DNE:S1", "DML:S1", "COLL:P1", "DNS:S1", "LEM:P2"]),

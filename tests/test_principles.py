@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from sca.formulas import (
@@ -59,6 +61,24 @@ class TestCatalog:
     def test_size(self):
         assert len(catalog()) == 21
 
+    def test_plain_descriptions_are_the_instances(self):
+        """Each plain description that takes no dual, read in the formula
+        grammar with atomic witnesses for phi, psi and phi(y) and without
+        its side condition, is the instance at S0."""
+        checked = 0
+        for pid, desc in catalog():
+            if pid.variant != PLAIN or "dual(" in desc:
+                continue
+            text, _, side = desc.partition(", with ")
+            phi = "u < v" if "x not free in phi" in side else "x < u"
+            sub = {"phi(y)": phi.replace("x", "y"), "phi": phi, "psi": "v = x"}
+            text = re.sub(r"phi\(y\)|phi|psi", lambda m: f"({sub[m[0]]})", text)
+            witnesses = [parse(phi)] + ([parse(sub["psi"])] if "psi" in desc else [])
+            inst = instantiate(pid, _lits(*["S0"] * pid.arity), witnesses)
+            assert parse(text) == inst.rendered, pid
+            checked += 1
+        assert checked == 9
+
 
 class TestNodeOf:
     def test_dne(self):
@@ -89,7 +109,46 @@ class TestNodeOf:
         assert node_of(pid, args) == "DMLBOT:S2:S2"
 
 
+A_SIGMA, A_PI = "E y. (y = a)", "A y. (a < y)"
+B_SIGMA, B_PI = "E z. (z = b)", "A z. (b < z)"
+IFF_A = "((E y. y = a) -> A y. a < y) /\\ ((A y. a < y) -> E y. y = a)"
+IFF_B = "((E z. z = b) -> A z. b < z) /\\ ((A z. b < z) -> E z. z = b)"
+
+# Instances whose text pins which side a Delta variant takes the dual of,
+# that an S/P argument's dual is taken of its negated witness, and the
+# order of the equivalence premises.
+SCHEMA_CASES = [
+    ("DMLBOT:DPI:D1:S1", [A_SIGMA, A_PI, B_SIGMA],
+     f"{IFF_A} -> ~((E y. y = a) /\\ (E z. z = b)) -> "
+     "(E y. ~(a < y)) \\/ (A z. ~(z = b))"),
+    ("DMLBOT:DSI:D1:S1", [A_SIGMA, A_PI, B_SIGMA],
+     f"{IFF_A} -> ~((E y. y = a) /\\ (E z. z = b)) -> "
+     "(A y. ~(y = a)) \\/ (A z. ~(z = b))"),
+    ("DMLBOT:nS0:S0", ["x = a", "b < x"],
+     "~(~(x = a) /\\ b < x) -> ~~(x = a) \\/ ~(b < x)"),
+    ("LEM:DSI:D1", [A_SIGMA, A_PI], f"{IFF_A} -> (E y. y = a) \\/ (A y. ~(y = a))"),
+    ("LEM:DPI:D1", [A_SIGMA, A_PI], f"{IFF_A} -> (A y. a < y) \\/ (E y. ~(a < y))"),
+    ("LEM:DSI:nD1", [A_SIGMA, A_PI], f"{IFF_A} -> (E y. y = a) \\/ (A y. ~(y = a))"),
+    ("DUAL:DSI:D1", [A_SIGMA, A_PI], f"{IFF_A} -> ~(E y. y = a) -> A y. ~(y = a)"),
+    ("DUAL:DPI:D1", [A_SIGMA, A_PI], f"{IFF_A} -> ~(A y. a < y) -> E y. ~(a < y)"),
+    ("WDUAL:DSI:D1", [A_SIGMA, A_PI],
+     f"{IFF_A} -> ~(A y. ~(y = a)) -> ~~(E y. y = a)"),
+    ("WDUAL:DPI:D1", [A_SIGMA, A_PI],
+     f"{IFF_A} -> ~(E y. ~(a < y)) -> ~~(A y. a < y)"),
+    ("DML:D1:D1", [A_SIGMA, A_PI, B_SIGMA, B_PI],
+     f"{IFF_A} /\\ ({IFF_B}) -> ~((E y. y = a) /\\ (E z. z = b)) -> "
+     "~(E y. y = a) \\/ ~(E z. z = b)"),
+]
+
+
 class TestInstantiate:
+    @pytest.mark.parametrize("node, witnesses, text", SCHEMA_CASES,
+                             ids=[c[0] for c in SCHEMA_CASES])
+    def test_schema_text(self, node, witnesses, text):
+        pid, args = parse_node(node)
+        inst = instantiate(pid, args, [parse(w) for w in witnesses])
+        assert format_formula(inst.rendered) == text
+
     def test_lem_sigma1(self):
         inst = instantiate(PrincipleId("LEM", PLAIN, 1), _lits("S1"),
                            [parse("E x. (x = y)")])
