@@ -54,7 +54,7 @@ class LevelOutOfRange(ValueError):
 
 
 # The highest level cap a context accepts: grounding costs time and memory
-# linear in the cap.
+# linear in the cap.  The lowest is 0.
 K_MAX_LIMIT = 100
 
 
@@ -202,6 +202,8 @@ class TheoryContext:
     def __post_init__(self):
         """Check the level cap, spell the assumed nodes canonically and
         check their levels."""
+        if self.k_max < 0:
+            raise LevelOutOfRange(f"k_max={self.k_max} is below the bound 0")
         if self.k_max > K_MAX_LIMIT:
             raise LevelOutOfRange(
                 f"k_max={self.k_max} exceeds the limit {K_MAX_LIMIT}")

@@ -1,7 +1,9 @@
 """The dual of a prenex formula: flip every quantifier and negate the
 quantifier-free matrix.  The dual is classically equivalent to the
-negation; the laws relating the two are emitted as concrete formula
-instances for use as trusted hypotheses during rule verification.
+negation; dual_law_instances states two of the laws relating the two as
+concrete formula instances.  Rule verification does not use them: its
+lemma hypotheses state the dual laws over propositional letters
+(sca.ipc).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def dual(f: Formula) -> Formula:
 
 
 def dual_law_instances(f: Formula) -> list[Formula]:
-    """The two laws usable as trusted lemma hypotheses: the dual implies
-    the negation, and the formula is inconsistent with its dual."""
+    """Two dual laws at f: the dual implies the negation, and f is
+    inconsistent with its dual."""
     d = dual(f)
     return [Imp(d, Not(f)), Not(And(f, d))]

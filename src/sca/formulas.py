@@ -1,10 +1,17 @@
 """AST, parser, printer, substitution, and bounded evaluation for a
 first-order arithmetic language.
 
-Terms are built from variables, 0, successor, +, *, and a Cantor pairing
-function with its two projections.  Formulas use =, <, bot, /\\, \\/, ->,
-and the two quantifiers; negation, <->, and bounded quantifiers are sugar
-that is expanded at parse time (the printer re-sugars the exact patterns).
+A term is a variable or an application (App) of a function symbol to
+terms, and an atom is bot or a relation (Rel) between two terms.  Each
+symbol -- 0, successor, +, *, a Cantor pairing function with its two
+projections, = and < -- is stated once, in _SIGNATURE or _RELATIONS: its
+arity, its value and, for the infix ones, its binding strength; the
+parser, printer, evaluator and variable maps read those tables.  Formulas
+use the atoms, /\\, \\/, -> and the two quantifiers; negation, <->, and
+bounded quantifiers are sugar that is expanded at parse time (the printer
+re-sugars the exact patterns).  Zero, Succ, Add, Mul, Pair, Proj0, Proj1,
+Eq and Lt are constructor functions: Succ(t) is App("S", (t,)) and
+Lt(a, b) is Rel("<", a, b).
 
 Propositional formulas are the same connectives over bot and propositional
 letters (PAtom); the printer and the bounded evaluator handle letters, and
@@ -14,12 +21,16 @@ sca.ipc parses them with a subclass of this module's parser.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from functools import partial
+from itertools import repeat
+from typing import Callable, Mapping, NamedTuple, Union
 
 __all__ = [
-    "Term", "Var", "Zero", "Succ", "Add", "Mul", "Pair", "Proj0", "Proj1",
-    "Formula", "Eq", "Lt", "Bot", "And", "Or", "Imp", "Exists", "Forall",
+    "Term", "Var", "App", "Zero", "Succ", "Add", "Mul", "Pair", "Proj0",
+    "Proj1", "Formula", "Rel", "Eq", "Lt", "Bot", "And", "Or", "Imp",
+    "Exists", "Forall",
     "PAtom", "PropFormula",
     "Not", "Iff", "is_negation", "negand",
     "parse", "parse_term", "format_formula", "format_term",
@@ -51,7 +62,7 @@ class MissingAssignment(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# Terms and atoms
 
 @dataclass(frozen=True, slots=True)
 class Var:
@@ -59,60 +70,61 @@ class Var:
 
 
 @dataclass(frozen=True, slots=True)
-class Zero:
-    pass
+class App:
+    """A function symbol of _SIGNATURE applied to its arguments."""
+    op: str
+    args: tuple["Term", ...]
+
+
+Term = Union[Var, App]
 
 
 @dataclass(frozen=True, slots=True)
-class Succ:
-    t: "Term"
+class Rel:
+    """A relation symbol of _RELATIONS between two terms."""
+    op: str
+    t1: Term
+    t2: Term
 
 
-@dataclass(frozen=True, slots=True)
-class Add:
-    t1: "Term"
-    t2: "Term"
+def Zero() -> Term:
+    return App("0", ())
 
 
-@dataclass(frozen=True, slots=True)
-class Mul:
-    t1: "Term"
-    t2: "Term"
+def Succ(t: Term) -> Term:
+    return App("S", (t,))
 
 
-@dataclass(frozen=True, slots=True)
-class Pair:
-    t1: "Term"
-    t2: "Term"
+def Add(a: Term, b: Term) -> Term:
+    return App("+", (a, b))
 
 
-@dataclass(frozen=True, slots=True)
-class Proj0:
-    t: "Term"
+def Mul(a: Term, b: Term) -> Term:
+    return App("*", (a, b))
 
 
-@dataclass(frozen=True, slots=True)
-class Proj1:
-    t: "Term"
+def Pair(a: Term, b: Term) -> Term:
+    return App("pair", (a, b))
 
 
-Term = Union[Var, Zero, Succ, Add, Mul, Pair, Proj0, Proj1]
+def Proj0(t: Term) -> Term:
+    return App("p0", (t,))
+
+
+def Proj1(t: Term) -> Term:
+    return App("p1", (t,))
+
+
+def Eq(a: Term, b: Term) -> Rel:
+    return Rel("=", a, b)
+
+
+def Lt(a: Term, b: Term) -> Rel:
+    return Rel("<", a, b)
 
 
 # ---------------------------------------------------------------------------
 # Formulas
-
-@dataclass(frozen=True, slots=True)
-class Eq:
-    t1: Term
-    t2: Term
-
-
-@dataclass(frozen=True, slots=True)
-class Lt:
-    t1: Term
-    t2: Term
-
 
 @dataclass(frozen=True, slots=True)
 class Bot:
@@ -155,11 +167,11 @@ class PAtom:
     name: str
 
 
-Formula = Union[Eq, Lt, Bot, And, Or, Imp, Exists, Forall]
+Formula = Union[Rel, Bot, And, Or, Imp, Exists, Forall]
 
 PropFormula = Union[PAtom, Bot, And, Or, Imp]
 
-_ATOMS = (Eq, Lt, Bot)
+_ATOMS = (Rel, Bot)
 
 
 def Not(f: Formula) -> Formula:
@@ -204,15 +216,44 @@ def cantor_snd(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The signature
+
+class _Symbol(NamedTuple):
+    arity: int
+    value: Callable[..., int]
+    prec: int | None  # infix binding strength; None for a prefix symbol
+
+
+# Prefix symbols print as op(args), or op alone at arity 0; infix symbols
+# are binary and left-associative, and a larger prec binds more tightly.
+_SIGNATURE = {
+    "0": _Symbol(0, lambda: 0, None),
+    "S": _Symbol(1, lambda a: a + 1, None),
+    "+": _Symbol(2, operator.add, 1),
+    "*": _Symbol(2, operator.mul, 2),
+    "pair": _Symbol(2, cantor_pair, None),
+    "p0": _Symbol(1, cantor_fst, None),
+    "p1": _Symbol(1, cantor_snd, None),
+}
+
+_INFIX = {op: s.prec for op, s in _SIGNATURE.items() if s.prec is not None}
+
+_TIGHTEST = max(_INFIX.values())
+
+_RELATIONS = {"=": operator.eq, "<": operator.lt}
+
+
+# ---------------------------------------------------------------------------
 # Tokenizer
 
-_SYMBOLS = ["<->", "->", "/\\", "\\/", "~", "(", ")", ",", ".", "=", "<", "+", "*"]
+_SYMBOLS = ["<->", "->", "/\\", "\\/", "~", "(", ")", ",", ".", *_RELATIONS,
+            *(op for op in _SIGNATURE if not op.isidentifier())]
 
-_KEYWORDS = {"bot", "E", "A", "S", "pair", "p0", "p1"}
+_KEYWORDS = {"bot", "E", "A", *filter(str.isidentifier, _SIGNATURE)}
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """Returns (kind, text, pos) triples; kind is 'sym', 'ident', or 'zero'."""
+    """Returns (kind, text, pos) triples; kind is 'sym', 'ident', or 'eof'."""
     toks = []
     i = 0
     n = len(src)
@@ -227,10 +268,7 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 i += len(s)
                 break
         else:
-            if c == "0":
-                toks.append(("zero", "0", i))
-                i += 1
-            elif c.isalpha() or c == "_":
+            if c.isalpha() or c == "_":
                 j = i
                 while j < n and (src[j].isalnum() or src[j] == "_"):
                     j += 1
@@ -278,45 +316,32 @@ class _Parser:
 
     # -- terms ------------------------------------------------------------
 
-    def term(self) -> Term:
-        t = self.term_prod()
-        while self.eat("+"):
-            t = Add(t, self.term_prod())
-        return t
-
-    def term_prod(self) -> Term:
-        t = self.term_prim()
-        while self.eat("*"):
-            t = Mul(t, self.term_prim())
+    def term(self, prec: int = 1) -> Term:
+        """A term whose infix operators bind at least as tightly as prec;
+        each infix operator is left-associative."""
+        operand = self.term_prim if prec == _TIGHTEST else partial(self.term, prec + 1)
+        t = operand()
+        while _INFIX.get(self.peek()[1]) == prec:
+            t = App(self.next()[1], (t, operand()))
         return t
 
     def term_prim(self) -> Term:
         kind, tok, pos = self.next()
-        if tok == "0":
-            return Zero()
         if tok == "(":
             t = self.term()
             self.expect(")")
             return t
+        if tok in _SIGNATURE and tok not in _INFIX:
+            arity = _SIGNATURE[tok].arity
+            args = []
+            for i in range(arity):
+                self.expect("," if i else "(")
+                args.append(self.term())
+            if arity:
+                self.expect(")")
+            return App(tok, tuple(args))
         if kind == "ident":
-            if tok == "S":
-                self.expect("(")
-                t = self.term()
-                self.expect(")")
-                return Succ(t)
-            if tok == "pair":
-                self.expect("(")
-                a = self.term()
-                self.expect(",")
-                b = self.term()
-                self.expect(")")
-                return Pair(a, b)
-            if tok in ("p0", "p1"):
-                self.expect("(")
-                t = self.term()
-                self.expect(")")
-                return Proj0(t) if tok == "p0" else Proj1(t)
-            if tok in ("E", "A", "bot"):
+            if tok in _KEYWORDS:
                 raise ParseError(f"keyword {tok!r} cannot be a term", pos)
             return Var(tok)
         raise ParseError(f"expected a term, found {tok or 'end of input'!r}", pos)
@@ -384,17 +409,17 @@ class _Parser:
             try:
                 f = self.formula()
                 self.expect(")")
-                if self.peek()[1] not in ("=", "<", "+", "*"):
+                if self.peek()[1] not in _RELATIONS and self.peek()[1] not in _INFIX:
                     return f
             except ParseError:
                 pass
             self.i = mark
         t1 = self.term()
         _, rel, rpos = self.next()
-        if rel not in ("=", "<"):
-            raise ParseError(f"expected '=' or '<', found {rel or 'end of input'!r}", rpos)
-        t2 = self.term()
-        return Eq(t1, t2) if rel == "=" else Lt(t1, t2)
+        if rel not in _RELATIONS:
+            expected = " or ".join(map(repr, _RELATIONS))
+            raise ParseError(f"expected {expected}, found {rel or 'end of input'!r}", rpos)
+        return Rel(rel, t1, self.term())
 
 
 def parse(src: str) -> Formula:
@@ -412,26 +437,16 @@ def parse_term(src: str) -> Term:
 # Printing
 
 def format_term(t: Term, prec: int = 0) -> str:
-    # precedence: + is 1, * is 2, primaries 3; both operators left-associative
+    """Precedence-aware printer: an infix application is parenthesized
+    where its context binds more tightly than it does."""
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Succ):
-        return f"S({format_term(t.t)})"
-    if isinstance(t, Pair):
-        return f"pair({format_term(t.t1)}, {format_term(t.t2)})"
-    if isinstance(t, Proj0):
-        return f"p0({format_term(t.t)})"
-    if isinstance(t, Proj1):
-        return f"p1({format_term(t.t)})"
-    if isinstance(t, Add):
-        s = f"{format_term(t.t1, 1)} + {format_term(t.t2, 2)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(t, Mul):
-        s = f"{format_term(t.t1, 2)} * {format_term(t.t2, 3)}"
-        return f"({s})" if prec > 2 else s
-    raise TypeError(f"not a term: {t!r}")
+    op_prec = _SIGNATURE[t.op].prec
+    if op_prec is None:
+        return f"{t.op}({', '.join(map(format_term, t.args))})" if t.args else t.op
+    a, b = t.args
+    s = f"{format_term(a, op_prec)} {t.op} {format_term(b, op_prec + 1)}"
+    return f"({s})" if prec > op_prec else s
 
 
 def bounded_sugar(f: Formula) -> tuple[Term, Formula] | None:
@@ -441,7 +456,8 @@ def bounded_sugar(f: Formula) -> tuple[Term, Formula] | None:
     connective = {Exists: And, Forall: Imp}.get(type(f))
     if connective is not None and isinstance(f.body, connective):
         g = f.body.f1
-        if isinstance(g, Lt) and g.t1 == Var(f.var) and f.var not in term_vars(g.t2):
+        if (isinstance(g, Rel) and g.op == "<" and g.t1 == Var(f.var)
+                and f.var not in term_vars(g.t2)):
             return g.t2, f.body.f2
     return None
 
@@ -472,10 +488,8 @@ def format_formula(f: Formula, prec: int = 0) -> str:
         return f"({s})" if prec > 3 else s
     if isinstance(f, Bot):
         return "bot"
-    if isinstance(f, Eq):
-        return f"{format_term(f.t1)} = {format_term(f.t2)}"
-    if isinstance(f, Lt):
-        return f"{format_term(f.t1)} < {format_term(f.t2)}"
+    if isinstance(f, Rel):
+        return f"{format_term(f.t1)} {f.op} {format_term(f.t2)}"
     if isinstance(f, (Exists, Forall)):
         q = "E" if isinstance(f, Exists) else "A"
         sugar = bounded_sugar(f)
@@ -494,15 +508,11 @@ def format_formula(f: Formula, prec: int = 0) -> str:
 def term_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Var):
         return frozenset((t.name,))
-    if isinstance(t, Zero):
-        return frozenset()
-    if isinstance(t, (Succ, Proj0, Proj1)):
-        return term_vars(t.t)
-    return term_vars(t.t1) | term_vars(t.t2)
+    return frozenset().union(*map(term_vars, t.args))
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Eq, Lt)):
+    if isinstance(f, Rel):
         return term_vars(f.t1) | term_vars(f.t2)
     if isinstance(f, Bot):
         return frozenset()
@@ -513,7 +523,7 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 def all_names(f: Formula) -> frozenset[str]:
     """Every identifier occurring in f, free or bound."""
-    if isinstance(f, (Eq, Lt)):
+    if isinstance(f, Rel):
         return term_vars(f.t1) | term_vars(f.t2)
     if isinstance(f, Bot):
         return frozenset()
@@ -532,20 +542,21 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return f"{base}{i}"
 
 
-def substitute_term(t: Term, v: str, r: Term) -> Term:
+def _map_vars(t: Term, env: Mapping[str, Term]) -> Term:
+    """t with each variable that env names replaced by its image."""
     if isinstance(t, Var):
-        return r if t.name == v else t
-    if isinstance(t, Zero):
-        return t
-    if isinstance(t, (Succ, Proj0, Proj1)):
-        return type(t)(substitute_term(t.t, v, r))
-    return type(t)(substitute_term(t.t1, v, r), substitute_term(t.t2, v, r))
+        return env.get(t.name, t)
+    return App(t.op, tuple(map(_map_vars, t.args, repeat(env))))
+
+
+def substitute_term(t: Term, v: str, r: Term) -> Term:
+    return _map_vars(t, {v: r})
 
 
 def substitute(f: Formula, v: str, r: Term) -> Formula:
     """Capture-avoiding substitution of r for free occurrences of v."""
-    if isinstance(f, (Eq, Lt)):
-        return type(f)(substitute_term(f.t1, v, r), substitute_term(f.t2, v, r))
+    if isinstance(f, Rel):
+        return Rel(f.op, substitute_term(f.t1, v, r), substitute_term(f.t2, v, r))
     if isinstance(f, Bot):
         return f
     if isinstance(f, (And, Or, Imp)):
@@ -561,29 +572,19 @@ def substitute(f: Formula, v: str, r: Term) -> Formula:
     return type(f)(f.var, substitute(f.body, v, r))
 
 
-def _rename_term(t: Term, env: Mapping[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    if isinstance(t, Zero):
-        return t
-    if isinstance(t, (Succ, Proj0, Proj1)):
-        return type(t)(_rename_term(t.t, env))
-    return type(t)(_rename_term(t.t1, env), _rename_term(t.t2, env))
-
-
 def alpha_normal(f: Formula) -> Formula:
     """f with each bound variable renamed after its binding depth, to
     "#0", "#1", ...: names no identifier can spell, so they never meet a
     free variable.  Alpha-equivalent formulas have equal normal forms."""
-    def go(g: Formula, env: Mapping[str, str], depth: int) -> Formula:
-        if isinstance(g, (Eq, Lt)):
-            return type(g)(_rename_term(g.t1, env), _rename_term(g.t2, env))
+    def go(g: Formula, env: Mapping[str, Var], depth: int) -> Formula:
+        if isinstance(g, Rel):
+            return Rel(g.op, _map_vars(g.t1, env), _map_vars(g.t2, env))
         if isinstance(g, Bot):
             return g
         if isinstance(g, (And, Or, Imp)):
             return type(g)(go(g.f1, env, depth), go(g.f2, env, depth))
         name = f"#{depth}"
-        return type(g)(name, go(g.body, {**env, g.var: name}, depth + 1))
+        return type(g)(name, go(g.body, {**env, g.var: Var(name)}, depth + 1))
 
     return go(f, {}, 0)
 
@@ -615,19 +616,7 @@ def eval_term(t: Term, env: Mapping[str, int]) -> int:
         if t.name not in env:
             raise MissingAssignment(t.name)
         return env[t.name]
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, Succ):
-        return eval_term(t.t, env) + 1
-    if isinstance(t, Add):
-        return eval_term(t.t1, env) + eval_term(t.t2, env)
-    if isinstance(t, Mul):
-        return eval_term(t.t1, env) * eval_term(t.t2, env)
-    if isinstance(t, Pair):
-        return cantor_pair(eval_term(t.t1, env), eval_term(t.t2, env))
-    if isinstance(t, Proj0):
-        return cantor_fst(eval_term(t.t, env))
-    return cantor_snd(eval_term(t.t, env))
+    return _SIGNATURE[t.op].value(*map(eval_term, t.args, repeat(env)))
 
 
 def eval_bounded(f: Formula, env: Mapping[str, int]) -> bool:
@@ -642,10 +631,8 @@ def eval_bounded(f: Formula, env: Mapping[str, int]) -> bool:
         return eval_bounded(f.f1, env) or eval_bounded(f.f2, env)
     if isinstance(f, Imp):
         return (not eval_bounded(f.f1, env)) or eval_bounded(f.f2, env)
-    if isinstance(f, Eq):
-        return eval_term(f.t1, env) == eval_term(f.t2, env)
-    if isinstance(f, Lt):
-        return eval_term(f.t1, env) < eval_term(f.t2, env)
+    if isinstance(f, Rel):
+        return _RELATIONS[f.op](eval_term(f.t1, env), eval_term(f.t2, env))
     if isinstance(f, Bot):
         return False
     sugar = bounded_sugar(f)

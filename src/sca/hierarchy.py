@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .formulas import (
-    And, Bot, Eq, Exists, Forall, Formula, Imp, Lt, Or, Proj0, Proj1, Var,
+    And, Bot, Exists, Forall, Formula, Imp, Or, Proj0, Proj1, Rel, Var,
     all_names, bounded_sugar, format_formula, fresh_name, is_negation,
     negand, substitute,
 )
@@ -70,7 +70,7 @@ class HClass:
 
 
 def _check_quantifier_free(f: Formula) -> None:
-    if isinstance(f, (Eq, Lt, Bot)):
+    if isinstance(f, (Rel, Bot)):
         return
     if isinstance(f, (And, Or, Imp)):
         _check_quantifier_free(f.f1)

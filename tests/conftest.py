@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sca import derivability
 from sca.formulas import (
-    Add, And, Bot, Eq, Exists, Forall, Formula, Imp, Lt, Mul, Not, Or, Succ,
-    Term, Var, Zero, free_vars,
+    Add, And, Bot, Eq, Exists, Forall, Formula, Imp, Lt, Mul, Not, Or, Pair,
+    Proj0, Proj1, Succ, Term, Var, Zero, free_vars,
 )
 from sca.ipc import PAnd, PAtom, PBot, PImp, POr, PropFormula
 
@@ -25,16 +25,17 @@ def _num(n: int) -> Term:
 
 @st.composite
 def terms(draw, depth: int = 2) -> Term:
+    """A term over every function symbol: 0, S, +, *, pair, p0 and p1."""
     if depth == 0:
         return draw(st.sampled_from(
             [Var(v) for v in VAR_POOL] + [_num(n) for n in range(3)]))
-    kind = draw(st.integers(0, 4))
+    kind = draw(st.integers(0, 7))
     if kind <= 1:
         return draw(terms(depth=0))
-    if kind == 2:
-        return Succ(draw(terms(depth=depth - 1)))
+    if kind <= 4:
+        return [Succ, Proj0, Proj1][kind - 2](draw(terms(depth=depth - 1)))
     a, b = draw(terms(depth=depth - 1)), draw(terms(depth=depth - 1))
-    return Add(a, b) if kind == 3 else Mul(a, b)
+    return [Add, Mul, Pair][kind - 5](a, b)
 
 
 @st.composite

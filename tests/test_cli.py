@@ -330,6 +330,16 @@ class TestProcess:
         assert code == 1
         assert err == f"error: k_max={K_MAX_LIMIT + 1} exceeds the limit {K_MAX_LIMIT}\n"
 
+    @pytest.mark.parametrize("command", [
+        ["closure", "--base", ""],
+        ["query", "--base", "LEM:S1", "--goal", "DNE:S1"],
+        ["equiv", "DNE:S1"],
+    ])
+    def test_negative_level_cap_is_domain_error(self, command):
+        proc = _module_run(*command, "--kmax", "-1")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: k_max=-1 is below the bound 0\n"
+
 
 # Random command lines: subcommands with valid and malformed nodes,
 # formulas and levels, plus stray tokens.

@@ -324,6 +324,13 @@ class TestClosure:
                            f"exceeds the limit {K_MAX_LIMIT}"):
             TheoryContext.make({"LEM:S1"}, K_MAX_LIMIT + 1)
 
+    def test_negative_level_cap(self, rb):
+        # HA alone proves the level-0 principles, so cap 0 is the lowest
+        # cap with a meaning; below it a closure would be silently empty.
+        assert "LEM:S0" in closure(TheoryContext.make((), 0), rb)
+        with pytest.raises(LevelOutOfRange, match="^k_max=-1 is below the bound 0$"):
+            TheoryContext.make((), -1)
+
     @given(nodes=st.sets(st.sampled_from(
         ["LEM:S1", "DNE:S1", "DML:S1", "COLL:P1", "DNS:S1", "LEM:P2"]),
         max_size=3))

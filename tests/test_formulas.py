@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sca.formulas import (
-    And, Bot, Eq, Exists, Forall, Imp, Lt, MissingAssignment, Not, Or,
-    Pair, ParseError, Proj0, Proj1, Succ, UnboundedQuantifier, Var, Zero,
+    Add, And, Bot, Eq, Exists, Forall, Imp, Lt, MissingAssignment, Mul, Not,
+    Or, Pair, ParseError, Proj0, Proj1, Succ, UnboundedQuantifier, Var, Zero,
     alpha_equal, all_names, cantor_fst, cantor_pair, cantor_snd,
     collapse_atom_negations, eval_bounded, eval_term, format_formula,
-    free_vars, parse, substitute,
+    format_term, free_vars, parse, parse_term, substitute,
 )
 from tests.conftest import bounded_sentences, prenex, qfree
 
@@ -68,6 +68,58 @@ class TestPrint:
     @settings(max_examples=100)
     def test_roundtrip_bounded(self, f):
         assert alpha_equal(parse(format_formula(f)), f)
+
+
+X, Y, Z = Var("x"), Var("y"), Var("z")
+ENV = {"x": 2, "y": 3, "z": 5}
+
+
+class TestTerms:
+    @pytest.mark.parametrize("src, printed, value", [
+        ("0", "0", 0),
+        ("S(x)", "S(x)", 3),
+        ("x+y", "x + y", 5),
+        ("x*y", "x * y", 6),
+        ("pair(x,y)", "pair(x, y)", cantor_pair(2, 3)),
+        ("p0(y)", "p0(y)", cantor_fst(3)),
+        ("p1(y)", "p1(y)", cantor_snd(3)),
+        ("p0(pair(x, y))", "p0(pair(x, y))", 2),
+        ("p1(pair(x, y))", "p1(pair(x, y))", 3),
+    ])
+    def test_symbol(self, src, printed, value):
+        t = parse_term(src)
+        assert format_term(t) == printed
+        assert eval_term(t, ENV) == value
+
+    @pytest.mark.parametrize("src, printed, tree", [
+        ("x + y + z", "x + y + z", Add(Add(X, Y), Z)),
+        ("x + (y + z)", "x + (y + z)", Add(X, Add(Y, Z))),
+        ("x * y * z", "x * y * z", Mul(Mul(X, Y), Z)),
+        ("x * (y * z)", "x * (y * z)", Mul(X, Mul(Y, Z))),
+        ("x + y * z", "x + y * z", Add(X, Mul(Y, Z))),
+        ("(x + y) * z", "(x + y) * z", Mul(Add(X, Y), Z)),
+        ("(x * y) + z", "x * y + z", Add(Mul(X, Y), Z)),
+        ("((x))", "x", X),
+        ("S(x + y) * z", "S(x + y) * z", Mul(Succ(Add(X, Y)), Z)),
+        ("pair(x + y, (z))", "pair(x + y, z)", Pair(Add(X, Y), Z)),
+        ("p1(x * S(0))", "p1(x * S(0))", Proj1(Mul(X, Succ(Zero())))),
+    ])
+    def test_infix_associativity_and_parentheses(self, src, printed, tree):
+        t = parse_term(src)
+        assert t == tree
+        assert format_term(t) == printed
+        assert parse_term(printed) == t
+
+    @pytest.mark.parametrize("src, message", [
+        ("pair(x)", "expected ',', found ')' (at position 6)"),
+        ("S(x, y)", "expected ')', found ',' (at position 3)"),
+        ("p0 x", "expected '(', found 'x' (at position 3)"),
+        ("x +", "expected a term, found 'end of input' (at position 3)"),
+    ])
+    def test_parse_error(self, src, message):
+        with pytest.raises(ParseError) as e:
+            parse_term(src)
+        assert str(e.value) == message
 
 
 class TestSubstitute:
