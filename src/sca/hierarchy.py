@@ -200,9 +200,9 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
     t = frozenset(map(canonical_node, theory))
 
     def assumes(pid, k: int) -> bool:
-        """The theory contains the principle at Sigma k in every argument
-        (vacuously when k < 0: the class is empty)."""
-        return k < 0 or str(Node(pid, (ClassLit(0, "S", k),) * pid.arity)) in t
+        """The theory contains the principle at Sigma k in every argument,
+        or k <= 0: HA proves DNE and DML at level 0; below it, a class is empty."""
+        return k <= 0 or str(Node(pid, (ClassLit(0, "S", k),) * pid.arity)) in t
 
     def quantified(q: str, c: HClass, bounded: bool) -> HClass:
         """The class of a quantifier of polarity q over a body of class c:

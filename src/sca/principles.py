@@ -16,7 +16,7 @@ from typing import Sequence
 from .duality import dual
 from .formulas import (
     And, Exists, Forall, Formula, Iff, Imp, Lt, Not, Or, Var, free_vars,
-    substitute,
+    fresh_name, substitute,
 )
 from .hierarchy import ClassLit, HClass, class_subset, relative_classify
 from .nodes import (
@@ -160,15 +160,16 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
         body = Imp(Forall("x", Or(s, s2)), Or(s, Forall("x", s2)))
     elif fam == "COLL":
         # The distinguished bound variable x stays free in the instance.
-        lhs = Forall("w", Exists("y", And(Lt(Var("y"), Var("x")),
-                                          Forall("z", Imp(Lt(Var("z"), Var("w")), s)))))
+        w = Var(fresh_name("w", free_vars(s)))
+        lhs = Forall(w.name, Exists("y", And(Lt(Var("y"), Var("x")),
+                                             Forall("z", Imp(Lt(Var("z"), w), s)))))
         rhs = Exists("y", And(Lt(Var("y"), Var("x")), Forall("z", s)))
         body = Imp(lhs, rhs)
     elif fam == "LN":
-        s_y = substitute(s, "x", Var("y"))
+        y = Var(fresh_name("y", free_vars(s)))
         body = Imp(Exists("x", s),
-                   Exists("x", And(s, Forall("y", Imp(Lt(Var("y"), Var("x")),
-                                                      Not(s_y))))))
+                   Exists("x", And(s, Forall(y.name, Imp(Lt(y, Var("x")),
+                                                         Not(substitute(s, "x", y)))))))
     elif fam == "PEIRCE":
         psi = witnesses[-1]
         body = Imp(Imp(Imp(s, psi), s), s)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sca import formulas
 from sca.formulas import (
-    Add, And, Bot, Eq, Exists, Forall, Imp, Lt, MissingAssignment, Mul, Not,
-    Or, Pair, ParseError, Proj0, Proj1, Succ, UnboundedQuantifier, Var, Zero,
-    alpha_equal, all_names, cantor_fst, cantor_pair, cantor_snd,
-    collapse_atom_negations, eval_bounded, eval_term, format_formula,
-    format_term, free_vars, parse, parse_term, substitute,
+    Add, And, Bot, Eq, Exists, Forall, Iff, Imp, Lt, MissingAssignment, Mul,
+    Not, Or, Pair, ParseError, Proj0, Proj1, Succ, UnboundedQuantifier, Var,
+    Zero, alpha_equal, all_names, bounded_sugar, cantor_fst, cantor_pair,
+    cantor_snd, collapse_atom_negations, eval_bounded, eval_term,
+    format_formula, format_term, free_vars, parse, parse_term, substitute,
 )
 from tests.conftest import bounded_sentences, prenex, qfree
 
@@ -120,6 +121,145 @@ class TestTerms:
         with pytest.raises(ParseError) as e:
             parse_term(src)
         assert str(e.value) == message
+
+
+A, B, C = Eq(X, Zero()), Lt(X, Y), Eq(Y, Z)
+
+
+def _reference_tokenize(src):
+    """The character-loop tokenizer that formulas._tokenize replaced: at
+    each non-space character, the first symbol of _SYMBOLS that matches,
+    else an identifier (a letter or _, then letters, digits and _)."""
+    toks = []
+    i = 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        for s in formulas._SYMBOLS:
+            if src.startswith(s, i):
+                toks.append(("sym", s, i))
+                i += len(s)
+                break
+        else:
+            if c.isalpha() or c == "_":
+                j = i
+                while j < n and (src[j].isalnum() or src[j] == "_"):
+                    j += 1
+                toks.append(("ident", src[i:j], i))
+                i = j
+            else:
+                raise ParseError(f"unexpected character {c!r}", i)
+    toks.append(("eof", "", n))
+    return toks
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return tokenize(src)
+    except ParseError as e:
+        return str(e), e.pos
+
+
+_SOUP = ["<->", "->", "/\\", "\\/", "~", "(", ")", ",", ".", "=", "<", "+", "*",
+         "0", "01", "1", "x", "y0", "E", "A", "bot", "S", "pair", "p0", "_", "é",
+         "x²", "²x", "\u00a0", "<-", "-", "/", "\\", "$", " ", "\t", "\n", "Ⅷ", "١"]
+
+
+class TestConnectives:
+    @pytest.mark.parametrize("src, printed, tree", [
+        ("x = 0 /\\ x < y /\\ y = z", "x = 0 /\\ x < y /\\ y = z", And(And(A, B), C)),
+        ("x = 0 /\\ (x < y /\\ y = z)", "x = 0 /\\ (x < y /\\ y = z)", And(A, And(B, C))),
+        ("x = 0 \\/ x < y \\/ y = z", "x = 0 \\/ x < y \\/ y = z", Or(Or(A, B), C)),
+        ("x = 0 \\/ (x < y \\/ y = z)", "x = 0 \\/ (x < y \\/ y = z)", Or(A, Or(B, C))),
+        ("x = 0 -> x < y -> y = z", "x = 0 -> x < y -> y = z", Imp(A, Imp(B, C))),
+        ("(x = 0 -> x < y) -> y = z", "(x = 0 -> x < y) -> y = z", Imp(Imp(A, B), C)),
+        ("x = 0 \\/ x < y /\\ y = z", "x = 0 \\/ x < y /\\ y = z", Or(A, And(B, C))),
+        ("(x = 0 \\/ x < y) /\\ y = z", "(x = 0 \\/ x < y) /\\ y = z", And(Or(A, B), C)),
+        ("x = 0 /\\ x < y -> x < y \\/ y = z", "x = 0 /\\ x < y -> x < y \\/ y = z",
+         Imp(And(A, B), Or(B, C))),
+        ("((x = 0))", "x = 0", A),
+        ("~x = 0 /\\ x < y", "~(x = 0) /\\ x < y", And(Not(A), B)),
+        ("~~bot", "~~bot", Not(Not(Bot()))),
+        ("~(x = 0 -> x < y)", "~(x = 0 -> x < y)", Not(Imp(A, B))),
+        ("x = 0 /\\ x < y -> bot", "~(x = 0 /\\ x < y)", Not(And(A, B))),
+        ("E x. x = 0 /\\ x < y", "E x. x = 0 /\\ x < y", Exists("x", And(A, B))),
+        ("(A x. x = 0) /\\ x < y", "(A x. x = 0) /\\ x < y", And(Forall("x", A), B)),
+        ("x = 0 -> E x. x < y", "x = 0 -> E x. x < y", Imp(A, Exists("x", B))),
+        ("(E x. x = 0) -> x < y", "(E x. x = 0) -> x < y", Imp(Exists("x", A), B)),
+        ("x = 0 \\/ E x. x < y", "x = 0 \\/ (E x. x < y)", Or(A, Exists("x", B))),
+        ("~E x. x = 0", "~(E x. x = 0)", Not(Exists("x", A))),
+    ])
+    def test_printed_form_associativity_and_parentheses(self, src, printed, tree):
+        assert parse(src) == tree
+        assert format_formula(tree) == printed
+        assert parse(printed) == tree
+
+    @pytest.mark.parametrize("src, tree", [
+        ("x = 0 <-> x < y <-> y = z", Iff(Iff(A, B), C)),
+        ("x = 0 <-> x < y -> y = z", Iff(A, Imp(B, C))),
+        ("x = 0 -> x < y <-> y = z", Iff(Imp(A, B), C)),
+        ("x = 0 /\\ x < y <-> x < y \\/ y = z", Iff(And(A, B), Or(B, C))),
+        ("E x. x = 0 <-> x < y", Exists("x", Iff(A, B))),
+    ])
+    def test_iff_is_left_associative_sugar(self, src, tree):
+        assert parse(src) == tree
+
+    @pytest.mark.parametrize("src, tree", [
+        ("E x < y. x = 0", Exists("x", And(Lt(X, Y), A))),
+        ("A x < S(y). x = 0", Forall("x", Imp(Lt(X, Succ(Y)), A))),
+        ("E x < y. A z < x. y = z", Exists("x", And(Lt(X, Y), Forall("z", Imp(Lt(Z, X), C))))),
+    ])
+    def test_bounded_sugar_round_trip(self, src, tree):
+        assert parse(src) == tree
+        assert bounded_sugar(tree) == (tree.body.f1.t2, tree.body.f2)
+        assert format_formula(tree) == src
+
+    @pytest.mark.parametrize("tree, printed", [
+        (Exists("x", And(Lt(X, X), A)), "E x. x < x /\\ x = 0"),
+        (Exists("x", Imp(Lt(X, Y), A)), "E x. x < y -> x = 0"),
+        (Forall("x", And(Lt(X, Y), A)), "A x. x < y /\\ x = 0"),
+        (Forall("x", Imp(Lt(Y, X), A)), "A x. y < x -> x = 0"),
+    ])
+    def test_near_misses_are_not_sugar(self, tree, printed):
+        assert bounded_sugar(tree) is None
+        assert format_formula(tree) == printed
+        assert parse(printed) == tree
+
+    @pytest.mark.parametrize("src, message", [
+        ("E x. (x =", "expected ')', found '=' (at position 8)"),
+        ("(x = 0", "expected ')', found '=' (at position 3)"),
+        ("x = 0 /\\", "expected a term, found 'end of input' (at position 8)"),
+        ("x = 0 -> ", "expected a term, found 'end of input' (at position 9)"),
+        ("~", "expected a term, found 'end of input' (at position 1)"),
+        ("x = 0 <-> <-> bot", "expected a term, found '<->' (at position 10)"),
+        ("A x < . x = 0", "expected a term, found '.' (at position 6)"),
+        ("E 0. x = 0", "expected a variable after quantifier (at position 2)"),
+        ("A bot. x = 0", "expected a variable after quantifier (at position 2)"),
+        ("E = x", "expected a variable after quantifier (at position 2)"),
+        ("E x x = 0", "expected '.', found 'x' (at position 4)"),
+        ("x = 0 x", "trailing input 'x' (at position 6)"),
+        ("x", "expected '=' or '<', found 'end of input' (at position 1)"),
+        ("x # 0", "unexpected character '#' (at position 2)"),
+        ("x² = ²y", "unexpected character '²' (at position 5)"),
+        ("01 = x", "unexpected character '1' (at position 1)"),
+        ("x <- y", "unexpected character '-' (at position 3)"),
+        ("x = 0 /\\/ bot", "unexpected character '/' (at position 8)"),
+    ])
+    def test_parse_error(self, src, message):
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        assert str(e.value) == message
+        assert str(e.value).endswith(f"(at position {e.value.pos})")
+
+    @given(st.lists(st.one_of(st.sampled_from(_SOUP), st.text(max_size=2)), max_size=12))
+    @settings(max_examples=300)
+    def test_tokenizer_matches_the_character_loop(self, pieces):
+        src = "".join(pieces)
+        assert (_tokens_or_error(formulas._tokenize, src)
+                == _tokens_or_error(_reference_tokenize, src))
 
 
 class TestSubstitute:

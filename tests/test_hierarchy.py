@@ -236,6 +236,24 @@ class TestSpellingIndependence:
             assert got is not None and class_subset(got, base), (larger, got, base)
 
 
+class TestHaProvesLevelZero:
+    """HA proves DNE and DML at level 0, so assuming its closure changes
+    no class: the engine's closure of the empty base is no stronger."""
+
+    @given(f=bounded_mixed())
+    @example(f=parse("~(E x. (x = y))"))
+    @example(f=parse("A x < z. E y. (x = y)"))
+    @settings(max_examples=100, deadline=None)
+    def test_empty_theory_is_its_closure(self, f, rb):
+        closed = closure(TheoryContext.make((), 3), rb)
+        assert {"DNE:S0", "DML:S0:S0"} <= closed
+        assert _rel(f, ()) == _rel(f, closed)
+
+    def test_level_zero_collapses_over_ha(self):
+        assert relative_classify(parse("~(E x. (x = y))")) == HClass("Pi", 1)
+        assert relative_classify(parse("A x < z. E y. (x = y)")) == HClass("Sigma", 1)
+
+
 class TestClassLiterals:
     def test_roundtrip(self):
         for text in ["S0", "P3", "D2", "nS2", "nnP1", "nD4"]:

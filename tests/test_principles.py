@@ -149,6 +149,16 @@ class TestInstantiate:
         inst = instantiate(pid, args, [parse(w) for w in witnesses])
         assert format_formula(inst.rendered) == text
 
+    @pytest.mark.parametrize("node, phi, text", [
+        ("LN:S0", "x = y", "(E x. x = y) -> E x. x = y /\\ (A y0 < x. ~(y0 = y))"),
+        ("COLL:S0", "y < w", "(A w0. E y < x. A z < w0. y < w) -> E y < x. A z. y < w"),
+    ])
+    def test_bound_names_avoid_the_witness(self, node, phi, text):
+        """LN's A y and COLL's A w bind no free variable of the witness."""
+        pid, args = parse_node(node)
+        inst = instantiate(pid, args, [parse(phi)])
+        assert format_formula(inst.rendered) == text
+
     def test_lem_sigma1(self):
         inst = instantiate(PrincipleId("LEM", PLAIN, 1), _lits("S1"),
                            [parse("E x. (x = y)")])
