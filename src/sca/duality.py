@@ -8,10 +8,12 @@ lemma hypotheses state the dual laws over propositional letters
 
 from __future__ import annotations
 
-from .formulas import And, Exists, Forall, Formula, Imp, Not
+from .formulas import _QUANTIFIERS, And, Formula, Imp, Not
 from .hierarchy import prenex_prefix
 
 __all__ = ["dual", "dual_law_instances"]
+
+_FLIP = dict(zip(_QUANTIFIERS, reversed(_QUANTIFIERS)))  # E <-> A
 
 
 def dual(f: Formula) -> Formula:
@@ -24,7 +26,7 @@ def dual(f: Formula) -> Formula:
     prefix, matrix = prenex_prefix(f)
     out: Formula = Not(matrix)
     for kind, v in reversed(prefix):
-        out = Forall(v, out) if kind == "E" else Exists(v, out)
+        out = _QUANTIFIERS[_FLIP[kind]][0](v, out)
     return out
 
 

@@ -396,9 +396,11 @@ class _Parser:
         if tok == "bot":
             self.next()
             return Bot()
+        error = None
         if tok == "(":
             # Could be a parenthesized formula or a parenthesized term in a
-            # relation; try the formula reading first and backtrack.
+            # relation; try the formula reading first and backtrack.  When
+            # both fail, the reading that got further is at fault.
             mark = self.i
             self.next()
             try:
@@ -406,15 +408,18 @@ class _Parser:
                 self.expect(")")
                 if self.peek()[1] not in _RELATIONS and self.peek()[1] not in _INFIX:
                     return f
-            except ParseError:
-                pass
+            except ParseError as e:
+                error = e
             self.i = mark
-        t1 = self.term()
-        _, rel, rpos = self.next()
-        if rel not in _RELATIONS:
-            expected = " or ".join(map(repr, _RELATIONS))
-            raise ParseError(f"expected {expected}, found {rel or 'end of input'!r}", rpos)
-        return Rel(rel, t1, self.term())
+        try:
+            t1 = self.term()
+            _, rel, rpos = self.next()
+            if rel not in _RELATIONS:
+                expected = " or ".join(map(repr, _RELATIONS))
+                raise ParseError(f"expected {expected}, found {rel or 'end of input'!r}", rpos)
+            return Rel(rel, t1, self.term())
+        except ParseError as t:
+            raise error if error is not None and error.pos > t.pos else t from None
 
 
 def parse(src: str) -> Formula:

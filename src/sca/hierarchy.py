@@ -1,6 +1,7 @@
-"""Quantifier-alternation classification of prenex formulas, the class
-inclusion lattice, pairing-based block merging, and theory-relative
-classification of bounded quantifiers and negations.
+"""Classification in the arithmetical hierarchy, the class inclusion
+lattice, and pairing-based block merging.  One quantifier rule classifies
+every formula, relative to a theory (relative_classify) or, for a prenex
+formula, over HA (classify_prenex).
 
 Class literals (ClassLit) and their text syntax live in the nodes module
 and are re-exported here.
@@ -13,9 +14,9 @@ from functools import lru_cache
 from typing import Iterable
 
 from .formulas import (
-    And, Bot, Exists, Forall, Formula, Imp, Or, Proj0, Proj1, Rel, Var,
-    all_names, bounded_sugar, format_formula, fresh_name, is_negation,
-    negand, substitute,
+    _QUANTIFIER_OF, _QUANTIFIERS, And, Bot, Exists, Forall, Formula, Imp, Or,
+    Proj0, Proj1, Rel, Var, all_names, bounded_sugar, format_formula,
+    fresh_name, is_negation, negand, substitute,
 )
 from .nodes import (
     ClassLit, Node, canonical_node, format_class_literal, parse_class_literal,
@@ -31,6 +32,7 @@ __all__ = [
 
 SIGMA = "Sigma"
 PI = "Pi"
+_POLARITY = {Exists: SIGMA, Forall: PI}  # the class each quantifier leads
 
 
 class NotPrenex(ValueError):
@@ -69,14 +71,12 @@ class HClass:
         return f"{self.polarity} {self.level}"
 
 
-def _check_quantifier_free(f: Formula) -> None:
-    if isinstance(f, (Rel, Bot)):
-        return
+def _first_quantifier(f: Formula) -> Formula | None:
+    """The leftmost quantified subformula of f under connectives only;
+    None if f is quantifier-free."""
     if isinstance(f, (And, Or, Imp)):
-        _check_quantifier_free(f.f1)
-        _check_quantifier_free(f.f2)
-        return
-    raise NotPrenex(f)
+        return _first_quantifier(f.f1) or _first_quantifier(f.f2)
+    return None if isinstance(f, (Rel, Bot)) else f
 
 
 def prenex_prefix(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
@@ -86,27 +86,19 @@ def prenex_prefix(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
     contains a quantifier.
     """
     prefix: list[tuple[str, str]] = []
-    while isinstance(f, (Exists, Forall)):
-        prefix.append(("E" if isinstance(f, Exists) else "A", f.var))
+    while (q := _QUANTIFIER_OF.get(type(f))) is not None:
+        prefix.append((q[0], f.var))
         f = f.body
-    _check_quantifier_free(f)
+    if (sub := _first_quantifier(f)) is not None:
+        raise NotPrenex(sub)
     return prefix, f
 
 
 def classify_prenex(f: Formula) -> HClass:
-    """Exact class of a prenex formula: count alternating quantifier
-    blocks; a leading E-block gives Sigma, a leading A-block Pi."""
-    prefix, _ = prenex_prefix(f)
-    blocks = 0
-    last = None
-    for kind, _v in prefix:
-        if kind != last:
-            blocks += 1
-            last = kind
-    if blocks == 0:
-        return HClass(SIGMA, 0)
-    lead = prefix[0][0]
-    return HClass(SIGMA if lead == "E" else PI, blocks)
+    """Exact class of a prenex formula over HA: its relative class over
+    the empty theory.  Raises NotPrenex if f is not prenex."""
+    prenex_prefix(f)
+    return relative_classify(f)
 
 
 def class_subset(a: HClass, b: HClass) -> bool:
@@ -145,7 +137,7 @@ def prenex_merge(f: Formula) -> Formula:
         prefix[i: i + 2] = [(kind, u)]
     out = matrix
     for kind, v in reversed(prefix):
-        out = Exists(v, out) if kind == "E" else Forall(v, out)
+        out = _QUANTIFIERS[kind][0](v, out)
     return out
 
 
@@ -189,9 +181,10 @@ _DNE = principle("DNE")
 
 
 def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
-    """Best class of a formula built from a prenex core with bounded
-    quantifiers and negations, relative to a theory given as a set of
-    ground principle nodes (e.g. {"DML:S1", "DNE:S0"}).
+    """Best class of a formula built from quantifier-free formulas by
+    bounded and unbounded quantifiers and negations, relative to a theory
+    given as a set of ground principle nodes (e.g. {"DML:S1", "DNE:S0"});
+    raises Unclassifiable at a subformula that no rule applies to.
 
     Nodes may be spelled any way the node grammar allows (diagonal sugar,
     P0 for S0, symmetric arguments in either order); only their canonical
@@ -219,24 +212,19 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
         return HClass(q, k + 1)
 
     def go(g: Formula) -> HClass:
-        try:
-            return classify_prenex(g)
-        except NotPrenex:
-            pass
-        if isinstance(g, (Exists, Forall)):
+        if (q := _POLARITY.get(type(g))) is not None:
             b = bounded_sugar(g)
             body = g.body if b is None else b[1]
-            q = SIGMA if isinstance(g, Exists) else PI
             return quantified(q, go(body).canonical(), b is not None)
         if is_negation(g):
             c = go(negand(g)).canonical()
             k = c.level
-            if k == 0:
-                return HClass(SIGMA, 0)
             if c.polarity == SIGMA and assumes(_DNE, k - 1):
-                return HClass(PI, k)
+                return HClass(PI, k).canonical()
             if c.polarity == PI and assumes(_DNE, k):
                 return HClass(SIGMA, k)
+        elif _first_quantifier(g) is None:
+            return HClass(SIGMA, 0)
         raise Unclassifiable(g)
 
     return go(f)

@@ -129,6 +129,11 @@ def format_class_literal(c: ClassLit) -> str:
 # ---------------------------------------------------------------------------
 # Nodes
 
+# Node text comes from requests, so its memos are bounded, above the 19,851
+# texts that a closure parses at the largest level cap, 100.
+_TEXT_MEMO = 2**15
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
     """A ground principle node: a catalog schema at class literals."""
@@ -142,7 +147,7 @@ class Node:
                                 f"class argument(s), got {len(self.args)}")
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=_TEXT_MEMO)
     def parse(text: str) -> "Node":
         """The node the text spells, in the argument order written; a
         single class on a binary family abbreviates the diagonal."""
@@ -170,7 +175,7 @@ class Node:
                          *map(format_class_literal, self.args)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TEXT_MEMO)
 def canonical_node(text: str) -> str:
     """The canonical spelling of node text; memoized because a theory is
     canonicalized node by node on every relative classification."""

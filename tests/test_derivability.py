@@ -19,7 +19,8 @@ from sca.derivability import (
     equivalence_class, export_dot, load_default_rulebase, load_rulebase,
     node_level, query, verify_rulebase,
 )
-from sca.hierarchy import class_lit_subset
+from sca.formulas import parse
+from sca.hierarchy import class_lit_subset, relative_classify
 from sca.nodes import CATALOG, FAMILIES, PLAIN, ClassLit, Node
 
 CITE = {"ref": "Fact 2.2", "quote": "the following fact trivially holds"}
@@ -226,6 +227,21 @@ class TestLoadRulebase:
             *(closure(TheoryContext.make(ctx.assumed | {goal}, 3), rb) for ctx, goal in queries),
             *(closure(TheoryContext.make(theory, 3), rb) for theory in theories))
         assert covered <= reached
+
+    def test_node_text_memos_bounded(self):
+        """Node text comes from requests: serving more distinct texts than
+        the node-text memos hold leaves each at its bound.  Contexts
+        rejected for their level fill Node.parse, relative classifications
+        canonical_node."""
+        served = 40_000
+        f = parse("x = 0")
+        for n in range(4, 4 + served):
+            with pytest.raises(LevelOutOfRange):
+                TheoryContext.make([f"LEM:S{n}"], 3)
+            relative_classify(f, [f"DNE:P{n}"])
+        for memo in (Node.parse, canonical_node):
+            info = memo.cache_info()
+            assert info.currsize < served and info.currsize == info.maxsize
 
     def test_generator_reproduces_shipped_file(self):
         root = pathlib.Path(__file__).resolve().parent.parent

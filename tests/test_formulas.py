@@ -229,8 +229,8 @@ class TestConnectives:
         assert parse(printed) == tree
 
     @pytest.mark.parametrize("src, message", [
-        ("E x. (x =", "expected ')', found '=' (at position 8)"),
-        ("(x = 0", "expected ')', found '=' (at position 3)"),
+        ("E x. (x =", "expected a term, found 'end of input' (at position 9)"),
+        ("(x = 0", "expected ')', found 'end of input' (at position 6)"),
         ("x = 0 /\\", "expected a term, found 'end of input' (at position 8)"),
         ("x = 0 -> ", "expected a term, found 'end of input' (at position 9)"),
         ("~", "expected a term, found 'end of input' (at position 1)"),

@@ -17,12 +17,42 @@ from sca.formulas import (
 from sca.hierarchy import (
     ClassLit, HClass, NotPrenex, Unclassifiable, class_lit_covers, class_lit_subset,
     class_subset, classify_prenex, format_class_literal, parse_class_literal,
-    prenex_merge, relative_classify,
+    prenex_merge, prenex_prefix, relative_classify,
 )
 from sca.principles import catalog, node_of
 from tests.conftest import VAR_POOL, prenex, qfree
 
 ALL_CLASSES = [HClass(p, k) for p in ("Sigma", "Pi") for k in range(7)]
+
+STRONG_THEORY = ["DML:S1", "DNE:S0", "DML:S2", "DNE:S1", "DNE:S2"]
+
+
+def _block_count(f):
+    """The reference class of a prenex formula: count alternating
+    quantifier blocks; a leading E-block gives Sigma, a leading A-block Pi."""
+    prefix, _ = prenex_prefix(f)
+    blocks = 0
+    last = None
+    for kind, _v in prefix:
+        if kind != last:
+            blocks += 1
+            last = kind
+    if blocks == 0:
+        return HClass("Sigma", 0)
+    return HClass("Sigma" if prefix[0][0] == "E" else "Pi", blocks)
+
+
+def _deepest(make):
+    """The largest n for which parse accepts make(n) within the stack."""
+    lo, hi = 1, 4096
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse(make(mid))
+            lo = mid
+        except RecursionError:
+            hi = mid - 1
+    return lo
 
 
 class TestClassify:
@@ -41,6 +71,41 @@ class TestClassify:
 
     def test_pi0_canonicalizes_to_sigma0(self):
         assert classify_prenex(parse("bot")).polarity == "Sigma"
+
+    @given(prenex(max_prefix=8))
+    @settings(max_examples=200)
+    def test_matches_block_counting(self, f):
+        """A prenex formula's class is the same over HA and under any
+        theory: its bounded quantifiers have quantifier-free bodies."""
+        assert classify_prenex(f) == _block_count(f)
+        assert relative_classify(f, STRONG_THEORY) == _block_count(f)
+
+    @pytest.mark.parametrize("src, prenex_sub, unclassifiable_sub", [
+        ("x = 0 /\\ E y. (y = x)", "E y. (y = x)", "x = 0 /\\ E y. (y = x)"),
+        ("(A y. (y = x)) -> x = 0", "A y. (y = x)", "(A y. (y = x)) -> x = 0"),
+        ("A z. ~(E x. A y. (x = y))", "E x. A y. (x = y)", "~(E x. A y. (x = y))"),
+    ])
+    def test_blocking_subformula(self, src, prenex_sub, unclassifiable_sub):
+        """NotPrenex carries the first quantifier under a connective;
+        Unclassifiable carries the subformula no rule applies to: a
+        connective over a quantifier, or a negation of Sigma 2 over HA."""
+        with pytest.raises(NotPrenex) as e:
+            classify_prenex(parse(src))
+        assert e.value.sub == parse(prenex_sub)
+        with pytest.raises(Unclassifiable) as e:
+            relative_classify(parse(src))
+        assert e.value.sub == parse(unclassifiable_sub)
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda n: "".join(f"{'EA'[i % 2]} x. " for i in range(n)) + "x = 0",
+         lambda n: HClass("Sigma", n)),
+        (lambda n: "~" * n + "x = 0", lambda n: HClass("Sigma", 0)),
+        (lambda n: "(" * n + "x = 0" + " /\\ x = 0)" * n, lambda n: HClass("Sigma", 0)),
+    ], ids=["quantifier-prefix", "negations", "conjunctions"])
+    def test_deepest_parsed_nest_classifies(self, make, expected):
+        n = _deepest(make)
+        f = parse(make(n))
+        assert classify_prenex(f) == relative_classify(f) == expected(n)
 
 
 class TestClassSubset:
@@ -106,7 +171,6 @@ class TestPrenexMerge:
     @given(prenex())
     @settings(max_examples=150)
     def test_result_has_singleton_blocks(self, f):
-        from sca.hierarchy import prenex_prefix
         prefix, _ = prenex_prefix(prenex_merge(f))
         for (a, _v), (b, _w) in zip(prefix, prefix[1:]):
             assert a != b
@@ -137,12 +201,11 @@ class TestRelativeClassify:
     @given(prenex(max_prefix=3))
     @settings(max_examples=100)
     def test_monotone_in_theory(self, f):
-        stronger = ["DML:S1", "DNE:S0", "DML:S2", "DNE:S1", "DNE:S2"]
         try:
             base = relative_classify(f)
         except Exception:
             return
-        rel = relative_classify(f, stronger)
+        rel = relative_classify(f, STRONG_THEORY)
         assert rel.level <= base.level
 
     @given(qfree())
