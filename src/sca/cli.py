@@ -76,6 +76,7 @@ def _trace_json(tr: ipc.Trace) -> dict:
     return {
         "rule": tr.rule,
         "sequent": str(tr.sequent),
+        "principal": None if tr.principal is None else ipc.format_prop(tr.principal),
         "children": [_trace_json(c) for c in tr.children],
     }
 
@@ -172,10 +173,7 @@ def _cmd_query(args) -> int:
         _emit(args, {"result": "DERIVABLE", "chain": rows}, text)
     elif isinstance(result, derivability.Separated):
         w = result.witness
-        payload = {"result": "SEPARATED", "fact": result.fact_id,
-                   "witness": {"k": w["k"], "theory": list(w["theory"]),
-                               "unprovable": w["unprovable"],
-                               "cite": w["cite"]}}
+        payload = {"result": "SEPARATED", "fact": result.fact_id, "witness": w}
         text = (f"SEPARATED\n  fact: {result.fact_id} (k={w['k']})\n"
                 f"  theory: {', '.join(w['theory']) or 'HA'}\n"
                 f"  does not prove: {w['unprovable']}\n"

@@ -1,7 +1,8 @@
-"""Decision procedure for intuitionistic propositional logic in a
-contraction-free sequent calculus, with replayable derivation traces, a
-classical truth-table checker, propositional skeleton extraction for
-first-order formulas, and hybrid verification of rule-base implications.
+"""Decision procedure for intuitionistic propositional logic in G4ip, the
+contraction-free sequent calculus of Dyckhoff (J. Symbolic Logic 57(3),
+1992), with replayable derivation traces, a classical truth-table
+checker, propositional skeleton extraction for first-order formulas, and
+hybrid verification of rule-base implications.
 
 Propositional formulas are sca.formulas formulas over bot and letters
 (PAtom); this module shares that module's classes, printer, parser and
@@ -9,7 +10,10 @@ evaluator, and keeps the prover's names for them (PAnd is formulas.And).
 
 The left-implication rule is split four ways on the shape of the
 antecedent (atomic / conjunctive / disjunctive / nested implication),
-which makes proof search terminate without a loop check.
+which makes proof search terminate without a loop check.  Each rule is
+stated once, as the principal it takes (_left_rule, _RIGHT) and its
+premises (_PREMISES): the search only picks a rule and a principal, and
+validate_trace checks every step against the same statement.
 """
 
 from __future__ import annotations
@@ -99,6 +103,45 @@ class ProofResult:
 
 
 # ---------------------------------------------------------------------------
+# The calculus, stated once: the search and validate_trace both read it
+
+# the left rule that takes a hypothesis of each shape (see _left_rule)
+_LEFT = {PBot: "L-bot", PAnd: "L-and", POr: "L-or"}
+_IMP_LEFT = {PBot: "L-imp-bot", PAnd: "L-imp-and", POr: "L-imp-or", PImp: "L-imp-imp"}
+# the right rules, whose principal is None, by the shape of the goal
+_RIGHT = {PAnd: ("R-and",), PImp: ("R-imp",), POr: ("R-or-1", "R-or-2")}
+
+# each rule's premises, in order, from the conclusion's hypotheses, goal and principal
+_PREMISES = {
+    "L-bot": (), "axiom": (),
+    "L-and": (lambda hs, g, p: (hs - {p} | {p.f1, p.f2}, g),),
+    "L-or": (lambda hs, g, p: (hs - {p} | {p.f1}, g),
+             lambda hs, g, p: (hs - {p} | {p.f2}, g)),
+    "L-imp-bot": (lambda hs, g, p: (hs - {p}, g),),
+    "L-imp-atom": (lambda hs, g, p: (hs - {p} | {p.f2}, g),),
+    "L-imp-and": (lambda hs, g, p: (hs - {p} | {PImp(p.f1.f1, PImp(p.f1.f2, p.f2))}, g),),
+    "L-imp-or": (lambda hs, g, p: (hs - {p} | {PImp(p.f1.f1, p.f2), PImp(p.f1.f2, p.f2)}, g),),
+    "L-imp-imp": (lambda hs, g, p: (hs - {p} | {PImp(p.f1.f2, p.f2)}, p.f1),
+                  lambda hs, g, p: (hs - {p} | {p.f2}, g)),
+    "R-and": (lambda hs, g, p: (hs, g.f1), lambda hs, g, p: (hs, g.f2)),
+    "R-imp": (lambda hs, g, p: (hs | {g.f1}, g.f2),),
+    "R-or-1": (lambda hs, g, p: (hs, g.f1),), "R-or-2": (lambda hs, g, p: (hs, g.f2),),
+}
+
+
+def _left_rule(h, hyps: frozenset, goal: PropFormula) -> str | None:
+    """The rule that takes hypothesis h of hyps |- goal as its principal."""
+    kind = type(h)
+    if kind is PImp:
+        if type(h.f1) is PAtom:
+            return "L-imp-atom" if h.f1 in hyps else None
+        return _IMP_LEFT.get(type(h.f1))
+    if kind is PAtom:
+        return "axiom" if type(goal) is PAtom and h.name == goal.name else None
+    return _LEFT.get(kind)
+
+
+# ---------------------------------------------------------------------------
 # The decision procedure
 
 def prove_ipc(s: Sequent | PropFormula) -> ProofResult:
@@ -120,132 +163,58 @@ def _search(hyps: frozenset, goal: PropFormula,
     seq = Sequent(hyps, goal)
     if seq in cache:
         return cache[seq]
-    tr = _step(seq, cache)
-    cache[seq] = tr
+    tr = cache[seq] = _step(seq, cache)
     return tr
+
+
+def _apply(rule: str, seq: Sequent, p: PropFormula | None, cache) -> "Trace | None":
+    """Prove the premises of one step in order, stopping at the first failure."""
+    kids = ()
+    for premise in _PREMISES[rule]:
+        sub = _search(*premise(seq.hypotheses, seq.goal, p), cache)
+        if sub is None:
+            return None
+        kids += (sub,)
+    return Trace(rule, seq, p, kids)
 
 
 def _step(seq: Sequent, cache) -> "Trace | None":
     hyps, goal = seq.hypotheses, seq.goal
-
-    if any(isinstance(h, PBot) for h in hyps):
-        return Trace("L-bot", seq, PBot(), ())
-    if isinstance(goal, PAtom) and goal in hyps:
-        return Trace("axiom", seq, goal, ())
-
-    # invertible left rules, on the applicable hypothesis that prints
+    left = [(r, h) for h in hyps if (r := _left_rule(h, hyps, goal))]
+    for closing in ("L-bot", "axiom"):  # the closing rules, L-bot first
+        for r, h in left:
+            if r == closing:
+                return Trace(r, seq, h, ())
+    # an invertible left rule, on the applicable hypothesis that prints
     # first, so that traces do not depend on the hash seed
-    left = [h for h in hyps if isinstance(h, (PAnd, POr)) or isinstance(h, PImp) and (
-        isinstance(h.f1, (PBot, PAnd, POr)) or isinstance(h.f1, PAtom) and h.f1 in hyps)]
-    if left:
-        h = left[0] if len(left) == 1 else min(left, key=format_prop)
-        if isinstance(h, PAnd):
-            sub = _search(hyps - {h} | {h.f1, h.f2}, goal, cache)
-            return Trace("L-and", seq, h, (sub,)) if sub else None
-        if isinstance(h, POr):
-            s1 = _search(hyps - {h} | {h.f1}, goal, cache)
-            if s1 is None:
-                return None
-            s2 = _search(hyps - {h} | {h.f2}, goal, cache)
-            return Trace("L-or", seq, h, (s1, s2)) if s2 else None
-        a = h.f1
-        if isinstance(a, PBot):
-            sub = _search(hyps - {h}, goal, cache)
-            return Trace("L-imp-bot", seq, h, (sub,)) if sub else None
-        if isinstance(a, PAtom):
-            sub = _search(hyps - {h} | {h.f2}, goal, cache)
-            return Trace("L-imp-atom", seq, h, (sub,)) if sub else None
-        if isinstance(a, PAnd):
-            sub = _search(hyps - {h} | {PImp(a.f1, PImp(a.f2, h.f2))}, goal, cache)
-            return Trace("L-imp-and", seq, h, (sub,)) if sub else None
-        sub = _search(hyps - {h} | {PImp(a.f1, h.f2), PImp(a.f2, h.f2)}, goal, cache)
-        return Trace("L-imp-or", seq, h, (sub,)) if sub else None
-
-    # invertible right rules
-    if isinstance(goal, PAnd):
-        s1 = _search(hyps, goal.f1, cache)
-        if s1 is None:
-            return None
-        s2 = _search(hyps, goal.f2, cache)
-        return Trace("R-and", seq, None, (s1, s2)) if s2 else None
-    if isinstance(goal, PImp):
-        sub = _search(hyps | {goal.f1}, goal.f2, cache)
-        return Trace("R-imp", seq, None, (sub,)) if sub else None
-
-    # choice points
-    if isinstance(goal, POr):
-        s1 = _search(hyps, goal.f1, cache)
-        if s1 is not None:
-            return Trace("R-or-1", seq, None, (s1,))
-        s2 = _search(hyps, goal.f2, cache)
-        if s2 is not None:
-            return Trace("R-or-2", seq, None, (s2,))
-    for h in sorted((h for h in hyps if isinstance(h, PImp) and isinstance(h.f1, PImp)),
-                    key=format_prop):
-        c, d = h.f1.f1, h.f1.f2
-        s1 = _search(hyps - {h} | {PImp(d, h.f2)}, h.f1, cache)
-        if s1 is None:
-            continue
-        s2 = _search(hyps - {h} | {h.f2}, goal, cache)
-        if s2 is not None:
-            return Trace("L-imp-imp", seq, h, (s1, s2))
+    inv = [c for c in left if c[0] != "L-imp-imp"]
+    if inv:
+        r, h = inv[0] if len(inv) == 1 else min(inv, key=lambda c: format_prop(c[1]))
+        return _apply(r, seq, h, cache)
+    # the invertible right rules, then the choice points
+    for r in _RIGHT.get(type(goal), ()):
+        tr = _apply(r, seq, None, cache)
+        if tr is not None or r in ("R-and", "R-imp"):
+            return tr
+    for h in sorted((h for r, h in left if r == "L-imp-imp"), key=format_prop):
+        tr = _apply("L-imp-imp", seq, h, cache)
+        if tr is not None:
+            return tr
     return None
 
 
 def validate_trace(tr: Trace) -> bool:
-    """Replay a derivation rule by rule, independently of the search."""
-    seq = tr.sequent
-    hyps, goal = seq.hypotheses, seq.goal
-    kids = tuple(k.sequent for k in tr.children)
-    p = tr.principal
-    ok = False
-    if tr.rule == "L-bot":
-        ok = any(isinstance(h, PBot) for h in hyps) and not kids
-    elif tr.rule == "axiom":
-        ok = isinstance(goal, PAtom) and goal in hyps and not kids
-    elif tr.rule == "L-and":
-        ok = (isinstance(p, PAnd) and p in hyps and len(kids) == 1
-              and kids[0] == Sequent(hyps - {p} | {p.f1, p.f2}, goal))
-    elif tr.rule == "L-or":
-        ok = (isinstance(p, POr) and p in hyps and len(kids) == 2
-              and kids[0] == Sequent(hyps - {p} | {p.f1}, goal)
-              and kids[1] == Sequent(hyps - {p} | {p.f2}, goal))
-    elif tr.rule == "L-imp-bot":
-        ok = (isinstance(p, PImp) and isinstance(p.f1, PBot) and p in hyps
-              and len(kids) == 1 and kids[0] == Sequent(hyps - {p}, goal))
-    elif tr.rule == "L-imp-atom":
-        ok = (isinstance(p, PImp) and isinstance(p.f1, PAtom) and p in hyps
-              and p.f1 in hyps and len(kids) == 1
-              and kids[0] == Sequent(hyps - {p} | {p.f2}, goal))
-    elif tr.rule == "L-imp-and":
-        ok = (isinstance(p, PImp) and isinstance(p.f1, PAnd) and p in hyps
-              and len(kids) == 1
-              and kids[0] == Sequent(
-                  hyps - {p} | {PImp(p.f1.f1, PImp(p.f1.f2, p.f2))}, goal))
-    elif tr.rule == "L-imp-or":
-        ok = (isinstance(p, PImp) and isinstance(p.f1, POr) and p in hyps
-              and len(kids) == 1
-              and kids[0] == Sequent(
-                  hyps - {p} | {PImp(p.f1.f1, p.f2), PImp(p.f1.f2, p.f2)}, goal))
-    elif tr.rule == "L-imp-imp":
-        ok = (isinstance(p, PImp) and isinstance(p.f1, PImp) and p in hyps
-              and len(kids) == 2
-              and kids[0] == Sequent(hyps - {p} | {PImp(p.f1.f2, p.f2)}, p.f1)
-              and kids[1] == Sequent(hyps - {p} | {p.f2}, goal))
-    elif tr.rule == "R-and":
-        ok = (isinstance(goal, PAnd) and len(kids) == 2
-              and kids[0] == Sequent(hyps, goal.f1)
-              and kids[1] == Sequent(hyps, goal.f2))
-    elif tr.rule == "R-imp":
-        ok = (isinstance(goal, PImp) and len(kids) == 1
-              and kids[0] == Sequent(hyps | {goal.f1}, goal.f2))
-    elif tr.rule == "R-or-1":
-        ok = (isinstance(goal, POr) and len(kids) == 1
-              and kids[0] == Sequent(hyps, goal.f1))
-    elif tr.rule == "R-or-2":
-        ok = (isinstance(goal, POr) and len(kids) == 1
-              and kids[0] == Sequent(hyps, goal.f2))
-    return ok and all(validate_trace(k) for k in tr.children)
+    """Replay a derivation step by step against the statement of the
+    rules, without the search: a left rule's principal is a hypothesis
+    the rule takes, a right rule's is None and the goal has the rule's
+    shape, and the children's sequents are the premises, in order."""
+    hyps, goal, p = tr.sequent.hypotheses, tr.sequent.goal, tr.principal
+    ok = (tr.rule in _RIGHT.get(type(goal), ()) if p is None
+          else p in hyps and _left_rule(p, hyps, goal) == tr.rule)
+    return (ok and len(tr.children) == len(_PREMISES[tr.rule])
+            and all(k.sequent == Sequent(*premise(hyps, goal, p))
+                    for k, premise in zip(tr.children, _PREMISES[tr.rule]))
+            and all(map(validate_trace, tr.children)))
 
 
 # ---------------------------------------------------------------------------

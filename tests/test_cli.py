@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from sca.cli import run
 from sca.derivability import K_MAX_LIMIT
+from sca.ipc import Sequent, Trace, parse_prop, validate_trace
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -93,6 +94,15 @@ class TestInstantiate:
         assert payload["node"] == "DNE:S1"
 
 
+def _trace_from_json(step: dict) -> Trace:
+    """Rebuild a trace from `--json ipc --trace` output alone."""
+    hyps, goal = step["sequent"].split("|- ")
+    hyps = frozenset(parse_prop(h) for h in hyps.strip().split(", ") if h)
+    principal = None if step["principal"] is None else parse_prop(step["principal"])
+    return Trace(step["rule"], Sequent(hyps, parse_prop(goal)), principal,
+                 tuple(_trace_from_json(c) for c in step["children"]))
+
+
 class TestIpc:
     def test_peirce_unprovable_exit_zero(self, capsys):
         code, out, _ = _run(capsys, "ipc", "((p->q)->p)->p")
@@ -114,6 +124,25 @@ class TestIpc:
                 for seed in range(4)}
         assert len(outs) == 1
         assert json.loads(outs.pop())["provable"] is True
+
+    def test_json_trace_replays(self, capsys):
+        code, out, _ = _run(capsys, "--json", "ipc", "--trace",
+                            "((p /\\ q) /\\ (r \\/ s)) -> ((q /\\ p) /\\ (s \\/ r))")
+        root = json.loads(out)["trace"]
+        assert code == 0 and validate_trace(_trace_from_json(root))
+        steps, axioms = [root], []
+        while steps:
+            step = steps.pop()
+            steps.extend(step["children"])
+            if step["rule"] == "axiom":
+                axioms.append(step)
+        assert root["principal"] is None and axioms
+        # an axiom whose principal is another hypothesis no longer replays
+        step = axioms[0]
+        other = next(h for h in step["sequent"].split(" |- ")[0].split(", ")
+                     if h != step["principal"])
+        step["principal"] = other
+        assert not validate_trace(_trace_from_json(root))
 
 
 class TestVerifyRules:

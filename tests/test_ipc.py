@@ -1,10 +1,12 @@
-"""The intuitionistic decision procedure: examples, trace replay, the
-Glivenko oracle, an exhaustive small-Kripke-frame countermodel oracle,
-skeleton extraction, and hybrid rule verification."""
+"""The intuitionistic decision procedure: examples, trace replay against
+a reference replay and on mutated traces, the Glivenko oracle, an
+exhaustive small-Kripke-frame countermodel oracle, skeleton extraction,
+and hybrid rule verification."""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 
 from sca.formulas import parse
 from sca.ipc import (
-    FAILED, NEEDS_FIRST_ORDER, VERIFIED, MalformedSkeleton, PAtom, PImp,
-    PNot, Sequent, format_prop, parse_prop, prop_atoms, prove_classical,
-    prove_ipc, skeletonize, validate_trace, verify_rule,
+    FAILED, NEEDS_FIRST_ORDER, VERIFIED, MalformedSkeleton, PAnd, PAtom, PBot,
+    PImp, PNot, POr, Sequent, Trace, format_prop, parse_prop, prop_atoms,
+    prove_classical, prove_ipc, skeletonize, validate_trace, verify_rule,
 )
 from tests.conftest import props
 
@@ -69,6 +71,113 @@ def kripke_countermodel(f, max_worlds: int = 3) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# Reference replay: every rule written out on its own, independently of the
+# statement of the calculus that the prover and validate_trace share.  It
+# does not check the principal of L-bot, axiom or the right rules, so it
+# accepts some traces that validate_trace rejects, never the other way.
+
+def reference_validate(tr: Trace) -> bool:
+    seq = tr.sequent
+    hyps, goal = seq.hypotheses, seq.goal
+    kids = tuple(k.sequent for k in tr.children)
+    p = tr.principal
+    ok = False
+    if tr.rule == "L-bot":
+        ok = any(isinstance(h, PBot) for h in hyps) and not kids
+    elif tr.rule == "axiom":
+        ok = isinstance(goal, PAtom) and goal in hyps and not kids
+    elif tr.rule == "L-and":
+        ok = (isinstance(p, PAnd) and p in hyps and len(kids) == 1
+              and kids[0] == Sequent(hyps - {p} | {p.f1, p.f2}, goal))
+    elif tr.rule == "L-or":
+        ok = (isinstance(p, POr) and p in hyps and len(kids) == 2
+              and kids[0] == Sequent(hyps - {p} | {p.f1}, goal)
+              and kids[1] == Sequent(hyps - {p} | {p.f2}, goal))
+    elif tr.rule == "L-imp-bot":
+        ok = (isinstance(p, PImp) and isinstance(p.f1, PBot) and p in hyps
+              and len(kids) == 1 and kids[0] == Sequent(hyps - {p}, goal))
+    elif tr.rule == "L-imp-atom":
+        ok = (isinstance(p, PImp) and isinstance(p.f1, PAtom) and p in hyps
+              and p.f1 in hyps and len(kids) == 1
+              and kids[0] == Sequent(hyps - {p} | {p.f2}, goal))
+    elif tr.rule == "L-imp-and":
+        ok = (isinstance(p, PImp) and isinstance(p.f1, PAnd) and p in hyps
+              and len(kids) == 1
+              and kids[0] == Sequent(
+                  hyps - {p} | {PImp(p.f1.f1, PImp(p.f1.f2, p.f2))}, goal))
+    elif tr.rule == "L-imp-or":
+        ok = (isinstance(p, PImp) and isinstance(p.f1, POr) and p in hyps
+              and len(kids) == 1
+              and kids[0] == Sequent(
+                  hyps - {p} | {PImp(p.f1.f1, p.f2), PImp(p.f1.f2, p.f2)}, goal))
+    elif tr.rule == "L-imp-imp":
+        ok = (isinstance(p, PImp) and isinstance(p.f1, PImp) and p in hyps
+              and len(kids) == 2
+              and kids[0] == Sequent(hyps - {p} | {PImp(p.f1.f2, p.f2)}, p.f1)
+              and kids[1] == Sequent(hyps - {p} | {p.f2}, goal))
+    elif tr.rule == "R-and":
+        ok = (isinstance(goal, PAnd) and len(kids) == 2
+              and kids[0] == Sequent(hyps, goal.f1)
+              and kids[1] == Sequent(hyps, goal.f2))
+    elif tr.rule == "R-imp":
+        ok = (isinstance(goal, PImp) and len(kids) == 1
+              and kids[0] == Sequent(hyps | {goal.f1}, goal.f2))
+    elif tr.rule == "R-or-1":
+        ok = (isinstance(goal, POr) and len(kids) == 1
+              and kids[0] == Sequent(hyps, goal.f1))
+    elif tr.rule == "R-or-2":
+        ok = (isinstance(goal, POr) and len(kids) == 1
+              and kids[0] == Sequent(hyps, goal.f2))
+    return ok and all(reference_validate(k) for k in tr.children)
+
+
+RULES = ("L-bot", "axiom", "L-and", "L-or", "L-imp-bot", "L-imp-atom",
+         "L-imp-and", "L-imp-or", "L-imp-imp", "R-and", "R-imp", "R-or-1",
+         "R-or-2")
+
+
+def _seq(src: str) -> Sequent:
+    """A sequent written `h1, h2 |- goal`."""
+    hyps, goal = src.split("|-")
+    return Sequent(frozenset(parse_prop(h) for h in hyps.split(",") if h.strip()),
+                   parse_prop(goal))
+
+
+def _steps(tr: Trace, path: tuple = ()):
+    """Every step of a trace with the child indices that lead to it."""
+    yield path, tr
+    for i, child in enumerate(tr.children):
+        yield from _steps(child, path + (i,))
+
+
+def _replace_at(tr: Trace, path: tuple, step: Trace) -> Trace:
+    if not path:
+        return step
+    kids = list(tr.children)
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], step)
+    return replace(tr, children=tuple(kids))
+
+
+def _edits(step: Trace):
+    """The single edits of one step: its rule renamed, its principal
+    swapped for None, a hypothesis or the goal, a child dropped or
+    duplicated, and its children reversed."""
+    for rule in RULES:
+        if rule != step.rule:
+            yield replace(step, rule=rule)
+    seq = step.sequent
+    for p in (None, *sorted(seq.hypotheses, key=format_prop), seq.goal):
+        if p != step.principal:
+            yield replace(step, principal=p)
+    kids = step.children
+    for i in range(len(kids)):
+        yield replace(step, children=kids[:i] + kids[i + 1:])
+        yield replace(step, children=kids[:i + 1] + kids[i:])
+    if len(kids) > 1:
+        yield replace(step, children=kids[::-1])
+
+
 class TestProveIpc:
     def test_lem_implies_dne_skeleton(self):
         assert prove_ipc(parse_prop("(p \\/ ~p) -> (~~p -> p)")).provable
@@ -118,9 +227,66 @@ class TestProveIpc:
     @given(props())
     @settings(max_examples=200, deadline=None)
     def test_trace_replay(self, f):
-        result = prove_ipc(f)
-        if result.provable:
-            assert validate_trace(result.trace)
+        for g in (f, PNot(PNot(f)), PImp(f, f)):
+            result = prove_ipc(g)
+            if result.provable:
+                assert validate_trace(result.trace)
+                assert reference_validate(result.trace)
+
+
+class TestValidateTrace:
+    @given(props(depth=3))
+    @settings(max_examples=150, deadline=None)
+    def test_mutants_rejected_by_the_reference_are_rejected(self, f):
+        for g in (f, PNot(PNot(f)), PImp(f, f)):
+            tr = prove_ipc(g).trace
+            if tr is None:
+                continue
+            for path, step in _steps(tr):
+                for edited in _edits(step):
+                    mutant = _replace_at(tr, path, edited)
+                    assert not validate_trace(mutant) or reference_validate(mutant)
+
+    @pytest.mark.parametrize("sequent, rule, mutate", [
+        ("bot |- p", "L-bot", lambda t: replace(t, rule="axiom")),
+        ("p |- p", "axiom", lambda t: replace(t, rule="L-bot")),
+        ("p /\\ q |- q", "L-and", lambda t: replace(t, children=())),
+        ("p \\/ q |- q \\/ p", "L-or",
+         lambda t: replace(t, children=t.children[::-1])),
+        ("bot -> p |- q -> q", "L-imp-bot", lambda t: replace(t, rule="L-imp-atom")),
+        ("p, p -> q |- q", "L-imp-atom", lambda t: replace(t, principal=PAtom("p"))),
+        ("(p /\\ q) -> r |- p -> q -> r", "L-imp-and",
+         lambda t: replace(t, children=t.children * 2)),
+        ("(p \\/ q) -> r |- p -> r", "L-imp-or", lambda t: replace(t, rule="L-imp-and")),
+        ("(p -> q) -> r, q |- r", "L-imp-imp",
+         lambda t: replace(t, children=t.children[::-1])),
+        ("p, q |- p /\\ q", "R-and", lambda t: replace(t, children=t.children[::-1])),
+        ("|- p -> p", "R-imp", lambda t: replace(t, rule="R-or-1")),
+        ("p |- p \\/ q", "R-or-1", lambda t: replace(t, rule="R-or-2")),
+        ("q |- p \\/ q", "R-or-2", lambda t: replace(t, rule="R-or-1")),
+    ])
+    def test_rejects_a_mutation_of_each_rule(self, sequent, rule, mutate):
+        tr = prove_ipc(_seq(sequent)).trace
+        assert tr.rule == rule and validate_trace(tr)
+        mutant = mutate(tr)
+        assert not validate_trace(mutant)
+        assert not reference_validate(mutant)
+
+    @pytest.mark.parametrize("sequent, rule, principal", [
+        ("bot, p |- q", "L-bot", "p"),
+        ("p, q |- p", "axiom", "q"),
+        ("p, q |- p /\\ q", "R-and", "p"),
+        ("q |- p -> p", "R-imp", "q"),
+        ("p |- p \\/ q", "R-or-1", "p"),
+        ("q |- p \\/ q", "R-or-2", "q"),
+    ])
+    def test_rejects_a_wrong_principal(self, sequent, rule, principal):
+        tr = prove_ipc(_seq(sequent)).trace
+        assert tr.rule == rule and validate_trace(tr)
+        mutant = replace(tr, principal=parse_prop(principal))
+        assert not validate_trace(mutant)
+        # the reference does not check these principals
+        assert reference_validate(mutant)
 
 
 class TestPropSyntax:
