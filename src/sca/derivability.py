@@ -4,17 +4,20 @@ restricted classical principles.
 A rule base is JSON data: level-parametric rules (patterns over a single
 level variable k, e.g. "DNE:S(k-1)"), cited separation facts, and the
 list of families whose nodes are monotone in their class arguments.
-Each level cap has one ground program, built on first use: every rule
-instance for k up to the cap, indexed by its premises, and every ground
-separation fact.  Closure is its least fixpoint, computed by one worklist
-in which an arriving node queues the nodes it covers in the class
-inclusion order and the rule instances it completes; queries answer with
-a replayable chain, a citation-backed separation, or Unknown.
-Equivalence classes are found by elimination: a candidate whose closure
-lacks the node rules out every node of that closure.  What the engine
-keeps between calls, a program per level cap and the cover steps of the
-nodes closures reach, grows with the ground programs, not with the
-number of requests served.
+The rules and separation facts are ground once per level k, and each
+level cap has one ground program, built on first use from the levels up
+to the cap: every rule instance for k up to the cap, indexed by its
+premises, an instance with a node above the cap being a clamp marker,
+and every ground separation fact within the cap.  Closure is its least
+fixpoint, computed by one worklist in which an arriving node queues the
+nodes it covers in the class inclusion order and the rule instances it
+completes; queries answer with a replayable chain, a citation-backed
+separation, or Unknown.  Equivalence classes are found by elimination: a
+candidate whose closure lacks the node rules out every node of that
+closure.  What the engine keeps between calls, the grounding of each
+level, a program per level cap and the cover steps of the nodes closures
+reach, grows with the ground programs, not with the number of requests
+served.
 """
 
 from __future__ import annotations
@@ -99,8 +102,11 @@ class RuleBase:
     rules: tuple[Rule, ...]
     separations: tuple[SeparationFact, ...]
     inclusions: frozenset[str]
-    _programs: dict = field(default_factory=dict, repr=False, compare=False)
-    _covers: dict = field(default_factory=dict, repr=False, compare=False)
+    # memos, outside __init__ so that printers that list the init fields
+    # (hypothesis, printing a test's arguments) skip them
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _covers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 _GUARD_RE = re.compile(r"^k(>=|==)(\d+)$")
@@ -237,46 +243,81 @@ class Unknown:
 # ---------------------------------------------------------------------------
 # Closure
 
-def _ground(pats: tuple[NodePat, ...], guard: str | None, k: int) -> list[Node] | None:
-    """The nodes of the patterns at level k; None when the guard excludes
-    k or a class goes below level 0."""
-    if guard:
-        op, n = _GUARD_RE.match(guard.replace(" ", "")).groups()
-        if (k < int(n)) if op == ">=" else (k != int(n)):
-            return None
-    nodes = [p.at(k) for p in pats]
-    return None if any(n is None for n in nodes) else nodes
+def _level(rb: RuleBase, k: int):
+    """The rule base ground at level k, built once and shared by the
+    program of every level cap: (rules, facts), each aligned with the
+    rule base's list and None where the guard excludes k or a class goes
+    below level 0.  A rule entry is (step, top), step being (rule id,
+    premise texts, conclusion text, conclusion level) and top the highest
+    level among its nodes; a fact entry is ((fact, k, theory texts,
+    unprovable text), top).  Each guard is checked, and each distinct
+    pattern ground, once; node texts are interned, so all instances
+    share one string per node."""
+    if k not in rb._levels:
+        admits: dict[str, bool] = {}
+        grounds: dict[str, tuple[str, int] | None] = {}
+
+        def ground(pats: tuple[NodePat, ...], guard: str | None):
+            """(texts of all patterns but the last, text and level of the
+            last, highest level), or None."""
+            if guard:
+                if guard not in admits:
+                    op, n = _GUARD_RE.match(guard.replace(" ", "")).groups()
+                    admits[guard] = k >= int(n) if op == ">=" else k == int(n)
+                if not admits[guard]:
+                    return None
+            out = []
+            for p in pats:
+                if p.text not in grounds:
+                    node = p.at(k)
+                    grounds[p.text] = None if node is None else (
+                        sys.intern(str(node)), node.level)
+                if grounds[p.text] is None:
+                    return None
+                out.append(grounds[p.text])
+            *first, (last, level) = out
+            return tuple(text for text, _l in first), last, level, max(l for _t, l in out)
+
+        rules = []
+        for rule in rb.rules:
+            g = ground(rule.premises + (rule.conclusion,), rule.guard)
+            rules.append(None if g is None else ((rule.rule_id, *g[:3]), g[3]))
+        facts = []
+        for fact in rb.separations:
+            g = ground(fact.theory + (fact.unprovable,), fact.guard)
+            facts.append(None if g is None else ((fact, k, g[0], g[1]), g[3]))
+        rb._levels[k] = (rules, facts)
+    return rb._levels[k]
 
 
 def _program(rb: RuleBase, k_max: int):
-    """The ground program of the rule base at a level cap, built once:
-    (insts, watch, counts, facts).  insts lists the rule instances (rule
-    id, premise texts, conclusion text, conclusion level), an instance with
-    a node above k_max being a clamp marker (conclusion text None); watch
-    maps each premise text, or None for no premise, to the indices of the
-    instances that have it; counts holds each instance's number of
-    distinct premises; facts lists every separation fact's ground (fact,
-    k, theory texts, unprovable text) within the cap, in file order.
-    Node texts are interned, so all instances share one string per node."""
+    """The ground program of the rule base at a level cap, built once
+    from the shared groundings of levels 0..k_max: (insts, watch, counts,
+    facts).  insts lists the rule instances (rule id, premise texts,
+    conclusion text, conclusion level) rule by rule, each rule's by k
+    ascending, an instance with a node above k_max being a clamp marker
+    (conclusion text None); watch maps each premise text, or None for no
+    premise, to the indices of the instances that have it; counts holds
+    each instance's number of distinct premises; facts lists every
+    separation fact's ground (fact, k, theory texts, unprovable text)
+    within the cap, in file order and then by k.  An instance within the
+    cap is its level's step itself, shared by every cap's program."""
     if k_max not in rb._programs:
-        insts, counts, facts = [], [], []
+        levels = [_level(rb, k) for k in range(k_max + 1)]
+        insts, counts = [], []
         watch: dict[str | None, list[int]] = {}
-        for rule, k in itertools.product(rb.rules, range(k_max + 1)):
-            ground = _ground(rule.premises + (rule.conclusion,), rule.guard, k)
-            if ground is not None:
-                *prems, concl = ground
-                texts = tuple(sys.intern(str(p)) for p in prems)
-                clamp = any(g.level > k_max for g in ground)
-                for p in set(texts) or (None,):
-                    watch.setdefault(p, []).append(len(insts))
-                insts.append((rule.rule_id, texts,
-                              None if clamp else sys.intern(str(concl)), concl.level))
-                counts.append(len(set(texts)))
-        for fact, k in itertools.product(rb.separations, range(k_max + 1)):
-            ground = _ground(fact.theory + (fact.unprovable,), fact.guard, k)
-            if ground is not None and all(g.level <= k_max for g in ground):
-                *theory, unprov = map(str, ground)
-                facts.append((fact, k, tuple(theory), unprov))
+        for row in zip(*(rules for rules, _facts in levels)):
+            for entry in row:
+                if entry is not None:
+                    step, top = entry
+                    rid, texts, _concl, level = step
+                    distinct = set(texts)
+                    for p in distinct or (None,):
+                        watch.setdefault(p, []).append(len(insts))
+                    insts.append(step if top <= k_max else (rid, texts, None, level))
+                    counts.append(len(distinct))
+        facts = [entry[0] for row in zip(*(facts for _rules, facts in levels))
+                 for entry in row if entry is not None and entry[1] <= k_max]
         rb._programs[k_max] = (insts, watch, counts, facts)
     return rb._programs[k_max]
 

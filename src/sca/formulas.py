@@ -484,8 +484,19 @@ def format_formula(f: Formula, prec: int = 0) -> str:
         # a letter operand is printed in place: that saves the call for
         # 44% of the nodes of the prover's formulas
         a, b = f.f1, f.f2
+        rest = ""
+        if type(a) is t and left == op_prec:
+            # a left-nested run of a left-associative connective prints
+            # without parentheses, here in a loop: a flat chain such as
+            # p /\ q /\ r /\ ... is as deep as it is long
+            run = []
+            while type(a) is t:
+                run.append(b)
+                a, b = a.f1, a.f2
+            rest = "".join([f"{op}{g.name if type(g) is PAtom else format_formula(g, right)}"
+                            for g in reversed(run)])
         s = (f"{a.name if type(a) is PAtom else format_formula(a, left)}{op}"
-             f"{b.name if type(b) is PAtom else format_formula(b, right)}")
+             f"{b.name if type(b) is PAtom else format_formula(b, right)}{rest}")
         return f"({s})" if prec > op_prec else s
     if t is Bot:
         return "bot"
@@ -523,14 +534,21 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 def all_names(f: Formula) -> frozenset[str]:
-    """Every identifier occurring in f, free or bound."""
-    if isinstance(f, Rel):
-        return term_vars(f.t1) | term_vars(f.t2)
-    if isinstance(f, Bot):
-        return frozenset()
-    if isinstance(f, (And, Or, Imp)):
-        return all_names(f.f1) | all_names(f.f2)
-    return all_names(f.body) | {f.var}
+    """Every identifier occurring in f, free or bound.  A stack, not
+    recursion: a flat chain x = 0 /\\ x = 0 /\\ ... is as deep as it is
+    long."""
+    names: set[str] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Rel):
+            names |= term_vars(g.t1) | term_vars(g.t2)
+        elif isinstance(g, (And, Or, Imp)):
+            todo += g.f1, g.f2
+        elif not isinstance(g, Bot):
+            names.add(g.var)
+            todo.append(g.body)
+    return frozenset(names)
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -617,7 +635,14 @@ def eval_term(t: Term, env: Mapping[str, int]) -> int:
         if t.name not in env:
             raise MissingAssignment(t.name)
         return env[t.name]
-    return _SIGNATURE[t.op].value(*map(eval_term, t.args, repeat(env)))
+    # explicit arguments per arity: spreading a map over the arguments
+    # costs three times as much
+    args, value = t.args, _SIGNATURE[t.op].value
+    if len(args) == 2:
+        return value(eval_term(args[0], env), eval_term(args[1], env))
+    if args:
+        return value(eval_term(args[0], env))
+    return value()
 
 
 def eval_bounded(f: Formula, env: Mapping[str, int]) -> bool:

@@ -73,10 +73,19 @@ class HClass:
 
 def _first_quantifier(f: Formula) -> Formula | None:
     """The leftmost quantified subformula of f under connectives only;
-    None if f is quantifier-free."""
-    if isinstance(f, (And, Or, Imp)):
-        return _first_quantifier(f.f1) or _first_quantifier(f.f2)
-    return None if isinstance(f, (Rel, Bot)) else f
+    None if f is quantifier-free.  A stack, not recursion: a flat chain
+    x = 0 /\\ x = 0 /\\ ... is as deep as it is long."""
+    right: list[Formula] = []
+    while True:
+        if isinstance(f, (And, Or, Imp)):
+            right.append(f.f2)
+            f = f.f1
+        elif not isinstance(f, (Rel, Bot)):
+            return f
+        elif right:
+            f = right.pop()
+        else:
+            return None
 
 
 def prenex_prefix(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
@@ -191,11 +200,18 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
     forms count.  An unknown or malformed node raises ValueError.
     """
     t = frozenset(map(canonical_node, theory))
+    # each (family, level) looked up, read once per call
+    seen: dict[tuple[str, int], bool] = {}
 
     def assumes(pid, k: int) -> bool:
         """The theory contains the principle at Sigma k in every argument,
         or k <= 0: HA proves DNE and DML at level 0; below it, a class is empty."""
-        return k <= 0 or str(Node(pid, (ClassLit(0, "S", k),) * pid.arity)) in t
+        if k <= 0:
+            return True
+        key = pid.family, k
+        if key not in seen:
+            seen[key] = str(Node(pid, (ClassLit(0, "S", k),) * pid.arity)) in t
+        return seen[key]
 
     def quantified(q: str, c: HClass, bounded: bool) -> HClass:
         """The class of a quantifier of polarity q over a body of class c:

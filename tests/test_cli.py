@@ -340,6 +340,19 @@ class TestProcess:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("prefix, polarity", [("", "Sigma 0"), ("E x. ", "Sigma 1")])
+    @pytest.mark.parametrize("command", ["classify", "relclassify", "merge", "dual"])
+    def test_flat_chain_thousands_long(self, capsys, command, prefix, polarity):
+        """A conjunction of 3000 atoms parses into a left-nested And as
+        deep as it is long; every command answers it.  The output text
+        is compared, not formulas: dataclass equality recurses."""
+        chain = " /\\ ".join(["x = 0"] * 3000)
+        theory = ["--theory", "DNE:S1"] if command == "relclassify" else []
+        code, out, err = _run(capsys, command, prefix + chain, *theory)
+        dual = ("A x. " if prefix else "") + f"~({chain})"
+        assert (code, err) == (0, "")
+        assert out == {"merge": prefix + chain, "dual": dual}.get(command, polarity) + "\n"
+
     def test_huge_level_is_domain_error(self):
         # a level past any index: grounding cannot even size its range
         proc = _module_run("closure", "--base", "LEM:S1", "--kmax",

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from sca.derivability import (
     K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation, SchemaError, Separated,
-    TheoryContext, Unknown, UnknownFamily, canonical_node, closure,
+    TheoryContext, Unknown, UnknownFamily, _program, canonical_node, closure,
     equivalence_class, export_dot, load_default_rulebase, load_rulebase,
     node_level, query, verify_rulebase,
 )
@@ -157,6 +157,35 @@ def _mini(rules=(), separations=(), inclusions=("LEM", "DNE")):
                           "inclusions": list(inclusions)})
 
 
+def _direct_program(rb, k_max: int) -> tuple:
+    """The ground program at a cap, every rule and separation fact ground
+    directly at each k up to the cap, with no grounding shared between
+    levels or caps: (insts, watch, counts, facts) as _program gives them."""
+    insts, counts, facts = [], [], []
+    watch: dict = {}
+    for rule, k in itertools.product(rb.rules, range(k_max + 1)):
+        if rule.guard and not eval(rule.guard.replace("k", str(k))):  # noqa: S307 - trusted test data
+            continue
+        ground = [p.at(k) for p in rule.premises + (rule.conclusion,)]
+        if any(g is None for g in ground):
+            continue
+        *prems, concl = ground
+        texts = tuple(map(str, prems))
+        for p in set(texts) or (None,):
+            watch.setdefault(p, []).append(len(insts))
+        clamp = any(g.level > k_max for g in ground)
+        insts.append((rule.rule_id, texts, None if clamp else str(concl), concl.level))
+        counts.append(len(set(texts)))
+    for fact, k in itertools.product(rb.separations, range(k_max + 1)):
+        if fact.guard and not eval(fact.guard.replace("k", str(k))):  # noqa: S307 - trusted test data
+            continue
+        ground = [p.at(k) for p in fact.theory + (fact.unprovable,)]
+        if all(g is not None and g.level <= k_max for g in ground):
+            *theory, unprov = map(str, ground)
+            facts.append((fact, k, tuple(theory), unprov))
+    return insts, watch, counts, facts
+
+
 class TestLoadRulebase:
     def test_shipped_contains_fact_22_all_classes(self, rb):
         ids = {r.rule_id for r in rb.rules}
@@ -205,9 +234,9 @@ class TestLoadRulebase:
 
     def test_memos_bounded_by_the_ground_program(self):
         """Serving many distinct requests leaves one ground program per
-        level cap used, unchanged in size, and cover steps only for nodes
-        that some closure reached: nothing the engine keeps grows with the
-        requests served."""
+        level cap used, unchanged in size, the grounding of each level up
+        to that cap, and cover steps only for nodes that some closure
+        reached: nothing the engine keeps grows with the requests served."""
         rb = load_default_rulebase()
         pool, rng = _pool(rb), random.Random(7)
         bases = set()
@@ -219,8 +248,10 @@ class TestLoadRulebase:
         for ctx, goal in queries[1:]:
             query(ctx, goal, rb)
         covered = set(rb._covers)
-        assert set(vars(rb)) == {"rules", "separations", "inclusions", "_programs", "_covers"}
+        assert set(vars(rb)) == {"rules", "separations", "inclusions", "_levels", "_programs",
+                                 "_covers"}
         assert list(rb._programs) == [3]
+        assert sorted(rb._levels) == [0, 1, 2, 3]
         assert [len(part) for part in rb._programs[3]] == sizes
         theories = {theory for _fact, _k, theory, _unprov in rb._programs[3][3]}
         reached = set().union(
@@ -248,6 +279,41 @@ class TestLoadRulebase:
         tool = runpy.run_path(str(root / "tools" / "make_rulebase.py"))
         shipped = (root / "src" / "sca" / "data" / "rulebase.json").read_bytes()
         assert tool["render"]().encode("utf-8") == shipped
+
+
+class TestGroundProgram:
+    CAPS = (*range(9), 20)
+
+    @staticmethod
+    def _base(name: str):
+        if name == "shipped":
+            return load_default_rulebase()
+        if name == "clamp":
+            return _mini(rules=TestQuery.CLAMP_RULES, separations=TestQuery.CLAMP_SEPARATIONS)
+        # a premise above the conclusion: clamped at k = cap by its premise
+        return _mini(rules=[{"id": "r1", "premises": ["LEM:S(k+1)"], "conclusion": "DNE:S(k)",
+                             "cite": CITE}])
+
+    @pytest.mark.parametrize("name", ["shipped", "clamp", "lowering"])
+    def test_shared_levels_give_the_direct_program(self, name):
+        """Each cap's program, built from the levels shared between caps
+        with the caps taken in ascending, descending and shuffled order,
+        is the program of the direct grounding; each instance within the
+        cap is one object, shared with every larger cap's program."""
+        direct_rb = self._base(name)
+        direct = {cap: _direct_program(direct_rb, cap) for cap in self.CAPS}
+        shuffled = list(self.CAPS)
+        random.Random(3).shuffle(shuffled)
+        for caps in (self.CAPS, self.CAPS[::-1], shuffled):
+            rb = self._base(name)
+            for cap in caps:
+                assert _program(rb, cap) == direct[cap], (caps, cap)
+            assert sorted(rb._levels) == list(range(max(self.CAPS) + 1))
+            if name != "shipped":
+                assert any(i[2] is None for i in _program(rb, 3)[0])
+            for small, big in itertools.pairwise(sorted(self.CAPS)):
+                shared = {id(i) for i in _program(rb, big)[0]}
+                assert all(id(i) in shared for i in _program(rb, small)[0] if i[2] is not None)
 
 
 class TestCanonicalNode:
