@@ -1,6 +1,9 @@
 """Command-line front end.  Every operation is exposed as a subcommand;
 `--json` switches any of them to a stable machine-readable schema.
 
+Each subcommand imports only the modules it runs, so a cold process
+loads no more of the package than its subcommand needs.
+
 Exit codes: 0 on success, 1 on a domain error (non-prenex input, class
 mismatches, schema violations, ...), 2 on a usage error.  The rule base
 defaults to the shipped file and can be overridden per invocation with
@@ -13,9 +16,6 @@ import argparse
 import json
 import os
 import sys
-
-from . import derivability, duality, hierarchy, ipc, principles
-from .formulas import format_formula, parse
 
 __all__ = ["run", "main"]
 
@@ -31,6 +31,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _load_rulebase(args) -> derivability.RuleBase:
+    from . import derivability
+
     path = getattr(args, "rulebase", None) or os.environ.get("SCA_RULEBASE")
     if path:
         with open(path, encoding="utf-8") as fh:
@@ -73,10 +75,12 @@ def _trace_text(tr: ipc.Trace, depth: int = 0) -> str:
 
 
 def _trace_json(tr: ipc.Trace) -> dict:
+    from .ipc import format_prop
+
     return {
         "rule": tr.rule,
         "sequent": str(tr.sequent),
-        "principal": None if tr.principal is None else ipc.format_prop(tr.principal),
+        "principal": None if tr.principal is None else format_prop(tr.principal),
         "children": [_trace_json(c) for c in tr.children],
     }
 
@@ -85,32 +89,47 @@ def _trace_json(tr: ipc.Trace) -> dict:
 # Subcommands
 
 def _cmd_classify(args) -> int:
-    c = hierarchy.classify_prenex(parse(args.formula))
+    from .formulas import parse
+    from .hierarchy import classify_prenex
+
+    c = classify_prenex(parse(args.formula))
     _emit(args, {"polarity": c.polarity, "level": c.level}, str(c))
     return 0
 
 
 def _cmd_dual(args) -> int:
-    d = duality.dual(parse(args.formula))
+    from .duality import dual
+    from .formulas import format_formula, parse
+
+    d = dual(parse(args.formula))
     _emit(args, {"dual": format_formula(d)}, format_formula(d))
     return 0
 
 
 def _cmd_merge(args) -> int:
-    m = hierarchy.prenex_merge(parse(args.formula))
+    from .formulas import format_formula, parse
+    from .hierarchy import prenex_merge
+
+    m = prenex_merge(parse(args.formula))
     _emit(args, {"merged": format_formula(m)}, format_formula(m))
     return 0
 
 
 def _cmd_relclassify(args) -> int:
+    from .formulas import parse
+    from .hierarchy import relative_classify
+
     theory = _split_nodes(args.theory)
-    c = hierarchy.relative_classify(parse(args.formula), theory)
+    c = relative_classify(parse(args.formula), theory)
     _emit(args, {"polarity": c.polarity, "level": c.level, "theory": theory},
           str(c))
     return 0
 
 
 def _cmd_instantiate(args) -> int:
+    from . import principles
+    from .formulas import format_formula, parse
+
     pid, class_args = principles.parse_node(args.node)
     witnesses = [parse(w) for w in
                  (args.phi, args.psi, args.phi2, args.psi2) if w is not None]
@@ -122,7 +141,9 @@ def _cmd_instantiate(args) -> int:
 
 
 def _cmd_ipc(args) -> int:
-    result = ipc.prove_ipc(ipc.parse_prop(args.formula))
+    from .ipc import parse_prop, prove_ipc
+
+    result = prove_ipc(parse_prop(args.formula))
     verdict = "PROVABLE" if result.provable else "UNPROVABLE"
     text = verdict
     if args.trace and result.trace is not None:
@@ -135,9 +156,12 @@ def _cmd_ipc(args) -> int:
 
 
 def _cmd_verify_rules(args) -> int:
+    from .derivability import verify_rulebase
+    from .ipc import FAILED
+
     rb = _load_rulebase(args)
-    report = derivability.verify_rulebase(rb)
-    failed = sorted(rid for rid, st in report.statuses if st == ipc.FAILED)
+    report = verify_rulebase(rb)
+    failed = sorted(rid for rid, st in report.statuses if st == FAILED)
     payload = {
         "verified": report.verified,
         "failed": report.failed,
@@ -153,25 +177,29 @@ def _cmd_verify_rules(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .derivability import TheoryContext, closure
+
     rb = _load_rulebase(args)
-    ctx = derivability.TheoryContext.make(_split_nodes(args.base), args.kmax)
-    nodes = sorted(derivability.closure(ctx, rb))
+    ctx = TheoryContext.make(_split_nodes(args.base), args.kmax)
+    nodes = sorted(closure(ctx, rb))
     _emit(args, {"base": sorted(ctx.assumed), "k_max": ctx.k_max,
                  "closure": nodes}, "\n".join(nodes))
     return 0
 
 
 def _cmd_query(args) -> int:
+    from .derivability import Derivable, Separated, TheoryContext, query
+
     rb = _load_rulebase(args)
-    ctx = derivability.TheoryContext.make(_split_nodes(args.base), args.kmax)
-    result = derivability.query(ctx, args.goal, rb)
-    if isinstance(result, derivability.Derivable):
+    ctx = TheoryContext.make(_split_nodes(args.base), args.kmax)
+    result = query(ctx, args.goal, rb)
+    if isinstance(result, Derivable):
         rows = _chain_rows(result.chain, rb)
         text = "DERIVABLE"
         if rows:
             text += "\n" + _chain_text(rows)
         _emit(args, {"result": "DERIVABLE", "chain": rows}, text)
-    elif isinstance(result, derivability.Separated):
+    elif isinstance(result, Separated):
         w = result.witness
         payload = {"result": "SEPARATED", "fact": result.fact_id, "witness": w}
         text = (f"SEPARATED\n  fact: {result.fact_id} (k={w['k']})\n"
@@ -190,16 +218,20 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .derivability import TheoryContext, canonical_node, equivalence_class
+
     rb = _load_rulebase(args)
-    ctx = derivability.TheoryContext.make((), args.kmax)
-    cls = sorted(derivability.equivalence_class(args.node, ctx, rb))
-    _emit(args, {"node": derivability.canonical_node(args.node),
+    ctx = TheoryContext.make((), args.kmax)
+    cls = sorted(equivalence_class(args.node, ctx, rb))
+    _emit(args, {"node": canonical_node(args.node),
                  "k_max": args.kmax, "equivalents": cls}, "\n".join(cls))
     return 0
 
 
 def _cmd_graph(args) -> int:
-    dot = derivability.export_dot(args.preset, args.k)
+    from .derivability import export_dot
+
+    dot = export_dot(args.preset, args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(dot)
     _emit(args, {"preset": args.preset, "k": args.k, "out": args.out},

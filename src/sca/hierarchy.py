@@ -3,14 +3,14 @@ lattice, and pairing-based block merging.  One quantifier rule classifies
 every formula, relative to a theory (relative_classify) or, for a prenex
 formula, over HA (classify_prenex).
 
-Class literals (ClassLit) and their text syntax live in the nodes module
-and are re-exported here.
+Class literals (ClassLit), their text syntax and their inclusion order
+(class_lit_subset, class_lit_covers) live in the nodes module and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .formulas import (
@@ -19,8 +19,8 @@ from .formulas import (
     fresh_name, is_negation, negand, substitute,
 )
 from .nodes import (
-    ClassLit, Node, canonical_node, format_class_literal, parse_class_literal,
-    principle,
+    ClassLit, Node, canonical_node, class_lit_covers, class_lit_subset,
+    format_class_literal, parse_class_literal, principle,
 )
 
 __all__ = [
@@ -148,38 +148,6 @@ def prenex_merge(f: Formula) -> Formula:
     for kind, v in reversed(prefix):
         out = _QUANTIFIERS[kind][0](v, out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Class literals
-
-def class_lit_subset(a: ClassLit, b: ClassLit) -> bool:
-    """Ground inclusion lattice extended with the premise classes D<k>
-    (between level k-1 and level k) and negation congruence."""
-    a = a.canonical()
-    b = b.canonical()
-    if a.neg != b.neg:
-        return False
-    if a == b:
-        return True
-    if a.level < b.level:
-        return True
-    if a.level == b.level and a.kind == "D" and b.kind in ("S", "P"):
-        return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def class_lit_covers(a: ClassLit) -> tuple[ClassLit, ...]:
-    """The covers of a class literal in the inclusion order: the maximal
-    canonical literals strictly below it, all within one level of it,
-    sorted by text."""
-    a = a.canonical()
-    below = {c.canonical() for kind in "SPD"
-             for lvl in range(max(a.level - 1, 0), a.level + 1)
-             if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)} - {a}
-    maximal = [c for c in below if not any(d != c and class_lit_subset(c, d) for d in below)]
-    return tuple(sorted(maximal, key=format_class_literal))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ printer of node text "FAMILY[:TAG]:CLASS[:CLASS2]", e.g. "DNE:S1",
 
 A class literal is S<k>, P<k> or D<k> (the existential-leading,
 universal-leading and equivalence-premise classes at level k), optionally
-prefixed by "n" or "nn" (negated, doubly negated); rule patterns may write
-the level as (k), (k-1), (k+2), ...  A single class on a binary family
+prefixed by "n" or "nn" (negated, doubly negated); class literals are
+ordered by inclusion (class_lit_subset, class_lit_covers).  Rule patterns
+may write the level as (k), (k-1), (k+2), ...  A single class on a binary family
 abbreviates the diagonal ("DML:S1" is "DML:S1:S1").  The canonical form
 writes P0 as S0 and sorts the arguments of the symmetric families.
 """
@@ -21,7 +22,7 @@ __all__ = [
     "PrincipleId", "ClassLit", "Node", "NodePat",
     "SchemaError", "UnknownFamily", "ArityMismatch",
     "principle", "parse_class_literal", "format_class_literal", "canonical_node",
-    "parse_pattern",
+    "class_lit_subset", "class_lit_covers", "parse_pattern",
 ]
 
 PLAIN = "Plain"
@@ -124,6 +125,35 @@ def parse_class_literal(text: str) -> ClassLit:
 
 def format_class_literal(c: ClassLit) -> str:
     return "n" * c.neg + c.kind + str(c.level)
+
+
+def class_lit_subset(a: ClassLit, b: ClassLit) -> bool:
+    """Ground inclusion lattice extended with the premise classes D<k>
+    (between level k-1 and level k) and negation congruence."""
+    a = a.canonical()
+    b = b.canonical()
+    if a.neg != b.neg:
+        return False
+    if a == b:
+        return True
+    if a.level < b.level:
+        return True
+    if a.level == b.level and a.kind == "D" and b.kind in ("S", "P"):
+        return True
+    return False
+
+
+@lru_cache(maxsize=None)
+def class_lit_covers(a: ClassLit) -> tuple[ClassLit, ...]:
+    """The covers of a class literal in the inclusion order: the maximal
+    canonical literals strictly below it, all within one level of it,
+    sorted by text."""
+    a = a.canonical()
+    below = {c.canonical() for kind in "SPD"
+             for lvl in range(max(a.level - 1, 0), a.level + 1)
+             if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)} - {a}
+    maximal = [c for c in below if not any(d != c and class_lit_subset(c, d) for d in below)]
+    return tuple(sorted(maximal, key=format_class_literal))
 
 
 # ---------------------------------------------------------------------------

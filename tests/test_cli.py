@@ -22,13 +22,18 @@ from sca.ipc import Sequent, Trace, parse_prop, validate_trace
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def _module_run(*argv, **extra_env):
-    """Run `python -m sca.cli` in a fresh interpreter."""
+def _python(*args, **extra_env):
+    """Run a fresh interpreter that imports sca from the checkout."""
     env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "sca.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _module_run(*argv, **extra_env):
+    """Run `python -m sca.cli` in a fresh interpreter."""
+    return _python("-m", "sca.cli", *argv, **extra_env)
 
 
 def _run(capsys, *argv):
@@ -324,10 +329,44 @@ class TestUsage:
         assert a == b
 
 
+# Each subcommand and the sca modules a cold process running it loads.
+_ENGINE = {"cli", "derivability", "nodes"}
+_SYNTAX = {"cli", "formulas", "hierarchy", "nodes"}
+_LOADED = [
+    (["classify", "A x. (x = x)"], _SYNTAX),
+    (["dual", "E x. A y. (x < y)"], _SYNTAX | {"duality"}),
+    (["merge", "E x. E y. A z. (x + y = z)"], _SYNTAX),
+    (["relclassify", "~(E x. (x = y))", "--theory", "DNE:S0"], _SYNTAX),
+    (["instantiate", "LEM:S1", "--phi", "E x. (x = y)"],
+     _SYNTAX | {"duality", "principles"}),
+    (["--json", "ipc", "--trace", "p -> ~~p"], {"cli", "formulas", "ipc"}),
+    (["verify-rules"], {"cli", "derivability", "formulas", "ipc", "nodes"}),
+    (["closure", "--base", "LEM:S1", "--kmax", "3"], _ENGINE),
+    (["query", "--base", "LEM:S1", "--goal", "DNE:S1", "--kmax", "3"], _ENGINE),
+    (["equiv", "LEM:S1", "--kmax", "3"], _ENGINE),
+    (["graph", "--preset", "abhk", "--k", "2", "--out", "OUT"], _ENGINE),
+    (["frobnicate"], {"cli"}),
+]
+
+
 class TestProcess:
     def test_module_mode(self):
         proc = _module_run("classify", "A x. (x = x)")
         assert proc.returncode == 0 and proc.stdout == "Pi 1\n"
+
+    @pytest.mark.parametrize("argv, loaded", _LOADED,
+                             ids=[a[1] if a[0] == "--json" else a[0] for a, _ in _LOADED])
+    def test_subcommand_loads_only_its_modules(self, tmp_path, argv, loaded):
+        """A cold process imports only the modules its subcommand runs:
+        a module imported for nothing costs every process its compile."""
+        argv = [str(tmp_path / "fig.dot") if a == "OUT" else a for a in argv]
+        proc = _python("-c", "import sys\n"
+                       "from sca.cli import run\n"
+                       f"code = run({argv!r})\n"
+                       "print(code, *sorted(m for m in sys.modules if m.startswith('sca.')))")
+        code, *modules = proc.stdout.splitlines()[-1].split()
+        assert code == ("2" if argv == ["frobnicate"] else "0"), proc.stderr
+        assert modules == sorted(f"sca.{m}" for m in loaded)
 
     @pytest.mark.parametrize("argv", [
         ["classify", "~" * 3000 + "(x = 0)"],

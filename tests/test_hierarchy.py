@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sca import nodes
 from sca.derivability import TheoryContext, closure
 from sca.formulas import (
     And, Exists, Forall, Imp, Lt, Not, Var, cantor_pair, eval_bounded, parse,
@@ -339,3 +340,8 @@ class TestClassLiterals:
         assert covers("nP1") == ["nD1"]
         assert covers("nD1") == ["nS0"]
         assert covers("D0") == []
+
+    def test_order_is_the_one_in_nodes(self):
+        """hierarchy re-exports the order that the engine reads from nodes."""
+        assert class_lit_subset is nodes.class_lit_subset
+        assert class_lit_covers is nodes.class_lit_covers
