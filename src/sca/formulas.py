@@ -12,6 +12,10 @@ _RELATIONS (= <), _CONNECTIVES (constructor, binding strength,
 associativity) and _QUANTIFIERS (constructor, bounded-sugar connective).
 Zero, Succ, Add, Mul, Pair, Proj0, Proj1, Eq and Lt are constructor
 functions: Succ(t) is App("S", (t,)) and Lt(a, b) is Rel("<", a, b).
+Every traversal of terms and formulas is one walk (_walk) over an explicit
+stack and each node's parts (_PARTS, read from these tables), so answers do
+not depend on depth; only eval_bounded and the parser's nesting (brackets,
+~, prefix terms, quantifiers inside connectives) recurse.
 
 Propositional formulas are the same connectives over bot and propositional
 letters (PAtom); the printer and the bounded evaluator handle letters, and
@@ -24,8 +28,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from functools import partial, reduce
+from itertools import chain, count, repeat
 from typing import Callable, Mapping, NamedTuple, Union
 
 __all__ = [
@@ -33,7 +37,7 @@ __all__ = [
     "Proj1", "Formula", "Rel", "Eq", "Lt", "Bot", "And", "Or", "Imp",
     "Exists", "Forall",
     "PAtom", "PropFormula",
-    "Not", "Iff", "is_negation", "negand",
+    "Not", "Iff", "is_negation",
     "parse", "parse_term", "format_formula", "format_term",
     "free_vars", "term_vars", "all_names", "fresh_name",
     "substitute", "substitute_term", "alpha_normal", "alpha_equal",
@@ -88,42 +92,6 @@ class Rel:
     t2: Term
 
 
-def Zero() -> Term:
-    return App("0", ())
-
-
-def Succ(t: Term) -> Term:
-    return App("S", (t,))
-
-
-def Add(a: Term, b: Term) -> Term:
-    return App("+", (a, b))
-
-
-def Mul(a: Term, b: Term) -> Term:
-    return App("*", (a, b))
-
-
-def Pair(a: Term, b: Term) -> Term:
-    return App("pair", (a, b))
-
-
-def Proj0(t: Term) -> Term:
-    return App("p0", (t,))
-
-
-def Proj1(t: Term) -> Term:
-    return App("p1", (t,))
-
-
-def Eq(a: Term, b: Term) -> Rel:
-    return Rel("=", a, b)
-
-
-def Lt(a: Term, b: Term) -> Rel:
-    return Rel("<", a, b)
-
-
 # ---------------------------------------------------------------------------
 # Formulas
 
@@ -172,8 +140,6 @@ Formula = Union[Rel, Bot, And, Or, Imp, Exists, Forall]
 
 PropFormula = Union[PAtom, Bot, And, Or, Imp]
 
-_ATOMS = (Rel, Bot)
-
 
 def Not(f: Formula) -> Formula:
     """Negation sugar: ~f is f -> bot."""
@@ -187,11 +153,6 @@ def Iff(a: Formula, b: Formula) -> Formula:
 
 def is_negation(f: Formula) -> bool:
     return isinstance(f, Imp) and isinstance(f.f2, Bot)
-
-
-def negand(f: Formula) -> Formula:
-    assert is_negation(f)
-    return f.f1  # type: ignore[union-attr]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +205,15 @@ _TIGHTEST = max(_INFIX.values())
 _RELATIONS = {"=": operator.eq, "<": operator.lt}
 
 
+def _app(op: str, *args: Term) -> Term:
+    return App(op, args)
+
+
+Zero, Succ, Add, Mul, Pair, Proj0, Proj1 = (
+    partial(_app, op) for op in ("0", "S", "+", "*", "pair", "p0", "p1"))
+Eq, Lt = partial(Rel, "="), partial(Rel, "<")
+
+
 class _Connective(NamedTuple):
     build: Callable[[Formula, Formula], Formula]
     prec: int  # binding strength; ~ binds more tightly than every entry
@@ -264,6 +234,9 @@ _PRINTED = {c.build: (f" {op} ", c.prec, c.prec + c.right, c.prec + (not c.right
             for op, c in _CONNECTIVES.items() if isinstance(c.build, type)}
 
 _QUANTIFIER_PREC = min(c[1] for c in _PRINTED.values())
+
+# the same for each infix symbol, at the strengths of terms
+_PRINTED_INFIX = {op: (f" {op} ", p, p, p + 1) for op, p in _INFIX.items()}
 
 
 # each quantifier's constructor, and the connective that joins x < t to
@@ -366,30 +339,33 @@ class _Parser:
     # -- formulas ---------------------------------------------------------
 
     def formula(self, prec: int = 0) -> Formula:
-        """A formula whose connectives bind at least as tightly as prec."""
+        """A formula whose connectives bind at least as tightly as prec; a
+        run of one connective is read in a loop, then folded."""
         f = self.unary()
-        while (c := _CONNECTIVES.get(self.peek()[1])) is not None and c.prec >= prec:
-            self.i += 1
-            f = c.build(f, self.formula(c.prec + (not c.right)))
+        while (c := _CONNECTIVES.get(op := self.peek()[1])) is not None and c.prec >= prec:
+            run = [f]
+            while self.eat(op):
+                run.append(self.formula(c.prec + 1))
+            f = reduce(lambda x, y: c.build(y, x), run[::-1]) if c.right else reduce(c.build, run)
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()[1]
         if self.eat("~"):
             return Not(self.unary())
-        if tok not in _QUANTIFIERS:
-            return self.atom_formula()
-        self.i += 1
-        build, bounding = _QUANTIFIERS[tok]
-        vkind, var, vpos = self.next()
-        if vkind != "ident" or var in _KEYWORDS:
-            raise ParseError("expected a variable after quantifier", vpos)
-        bound = self.term() if self.eat("<") else None
-        self.expect(".")
-        body = self.formula()  # quantifier scope extends maximally right
-        if bound is not None:
-            body = bounding(Lt(Var(var), bound), body)
-        return build(var, body)
+        headers = []  # a run of quantifier headers, E x. A y < t. ..., in a loop
+        while (tok := self.peek()[1]) in _QUANTIFIERS:
+            self.i += 1
+            vkind, var, vpos = self.next()
+            if vkind != "ident" or var in _KEYWORDS:
+                raise ParseError("expected a variable after quantifier", vpos)
+            bound = self.term() if self.eat("<") else None
+            self.expect(".")
+            headers.append((*_QUANTIFIERS[tok], var, bound))
+        # a quantifier's scope extends maximally right
+        f = self.formula() if headers else self.atom_formula()
+        for build, bounding, var, bound in reversed(headers):
+            f = build(var, f if bound is None else bounding(Lt(Var(var), bound), f))
+        return f
 
     def atom_formula(self) -> Formula:
         kind, tok, pos = self.peek()
@@ -434,19 +410,110 @@ def parse_term(src: str) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# The walk
+
+class _Build(NamedTuple):
+    build: Callable
+    n: int
+
+
+def _walk(todo: list, out: list):
+    """The one traversal, on the explicit stack todo: yields each (node,
+    env) pair popped, and for each the walker appends the node's first
+    outputs to out and pushes what follows, last first: pairs, _Builds
+    (which replace the outputs before them) and outputs (never tuples)."""
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is tuple:
+            yield item
+        elif kind is _Build:
+            k = len(out) - item.n
+            out[k:] = [item.build(*out[k:])]
+        else:
+            out.append(item)
+
+
+# each node class's (fields, children, build), read from the tables above:
+# build(*fields, *children) makes the node again; a leaf has no build
+_PARTS = {
+    **dict.fromkeys((Var, PAtom, Bot), lambda n: ((), (), None)),
+    **{c: lambda n, b=_Build(c, 2): ((), (n.f1, n.f2), b) for c in _PRINTED},
+    **{q: lambda n, b=_Build(q, 2): ((n.var,), (n.body,), b) for q in _QUANTIFIER_OF},
+    Rel: lambda n, b=_Build(Rel, 3): ((n.op,), (n.t1, n.t2), b),
+    App: lambda n, b={s.arity: _Build(_app, 1 + s.arity) for s in _SIGNATURE.values()}: (
+        (n.op,), n.args, b[len(n.args)]),
+}
+
+
+def _rebuild(n, env, todo: list, out: list, build: _Build | None = None) -> None:
+    """Walk n's children under env and make n again, by build if given."""
+    fields, kids, own = _PARTS[type(n)](n)
+    out += fields if own else (n,)
+    todo += (build or own, *zip(reversed(kids), repeat(env))) if own else ()
+
+
+# ---------------------------------------------------------------------------
 # Printing
 
-def format_term(t: Term, prec: int = 0) -> str:
-    """Precedence-aware printer: an infix application is parenthesized
-    where its context binds more tightly than it does."""
-    if isinstance(t, Var):
-        return t.name
-    op_prec = _SIGNATURE[t.op].prec
-    if op_prec is None:
-        return f"{t.op}({', '.join(map(format_term, t.args))})" if t.args else t.op
-    a, b = t.args
-    s = f"{format_term(a, op_prec)} {t.op} {format_term(b, op_prec + 1)}"
-    return f"({s})" if prec > op_prec else s
+_NAMED = {Var, PAtom}
+
+
+def format_formula(f: Formula | Term, prec: int = 0) -> str:
+    """Printer of formulas and terms, inverse of parse and parse_term up to
+    whitespace: an infix application or connective in a context (at binding
+    strength prec) that binds more tightly is parenthesized."""
+    # the walk's stack, inline: no builds here, and a generator step costs a fifth
+    out, todo = [], [(f, prec)]
+    while todo:
+        if type(n := todo.pop()) is str:
+            out.append(n)
+            continue
+        n, prec = n
+        while n is not None:  # n prints next, and then its first operand
+            t = type(n)
+            if t in _NAMED or t is Bot or t is App and not n.args:
+                out.append(n.name if t in _NAMED else "bot" if t is Bot else n.op)
+                n = None
+            elif t is Imp and type(n.f2) is Bot:
+                bare = type(n.f1) in (Bot, PAtom) or is_negation(n.f1)
+                out.append("~" if bare else "~(")
+                todo += () if bare else (")",)
+                n, prec = n.f1, 0
+            elif (c := _PRINTED_INFIX.get(n.op) if t is App else _PRINTED.get(t)) is not None:
+                (op, op_prec, left, right), (a, b) = c, n.args if t is App else (n.f1, n.f2)
+                if prec > op_prec:
+                    out.append("(")
+                    todo.append(")")
+                if type(a) in _NAMED:  # a letter or variable, and its operator, print at once
+                    out += a.name, op
+                    n, prec = b, right
+                else:
+                    todo += b.name if type(b) in _NAMED else (b, right), op
+                    n, prec = a, left
+            elif t is App:  # a prefix symbol; arguments print at strength 0
+                out.append(f"{n.op}(")
+                todo.append(")")
+                for a in n.args[:0:-1]:
+                    todo += (a, 0), ", "
+                n, prec = n.args[0], 0
+            elif t is Rel:
+                todo += (n.t2, 0), f" {n.op} "
+                n, prec = n.t1, 0
+            elif t in _QUANTIFIER_OF:
+                if prec > _QUANTIFIER_PREC:
+                    out.append("(")
+                    todo.append(")")
+                sugar = bounded_sugar(n)
+                out.append(f"{_QUANTIFIER_OF[t][0]} {n.var}{'. ' if sugar is None else ' < '}")
+                todo += () if sugar is None else ((sugar[1], 0), ". ")
+                n, prec = n.body if sugar is None else sugar[0], 0
+            else:
+                raise TypeError(f"not a formula: {n!r}")
+    return "".join(out)
+
+
+format_term = format_formula
 
 
 def bounded_sugar(f: Formula) -> tuple[Term, Formula] | None:
@@ -455,157 +522,91 @@ def bounded_sugar(f: Formula) -> tuple[Term, Formula] | None:
     None otherwise."""
     q = _QUANTIFIER_OF.get(type(f))
     if q is not None and isinstance(f.body, q[1]):
-        g = f.body.f1
-        if (isinstance(g, Rel) and g.op == "<" and g.t1 == Var(f.var)
-                and f.var not in term_vars(g.t2)):
+        g, x = f.body.f1, f.var
+        if type(g) is Rel and g.op == "<" and g.t1 == Var(x) and (
+                # a variable bound, the commonest, is checked without a walk
+                g.t2.name != x if type(g.t2) is Var else x not in term_vars(g.t2)):
             return g.t2, f.body.f2
     return None
-
-
-def format_formula(f: Formula, prec: int = 0) -> str:
-    """Precedence-aware printer; inverse of parse up to whitespace.
-
-    Re-sugars negation and bounded quantifiers exactly when the desugared
-    pattern matches.
-    """
-    # letters, negations and connectives first, as the prover prints them
-    # in its search
-    t = type(f)
-    if t is PAtom:
-        return f.name
-    c = _PRINTED.get(t)
-    if c is not None:
-        if t is Imp and type(f.f2) is Bot:
-            g = f.f1
-            if type(g) in (PAtom, Bot) or is_negation(g):
-                return f"~{format_formula(g)}"
-            return f"~({format_formula(g)})"
-        op, op_prec, left, right = c
-        # a letter operand is printed in place: that saves the call for
-        # 44% of the nodes of the prover's formulas
-        a, b = f.f1, f.f2
-        rest = ""
-        if type(a) is t and left == op_prec:
-            # a left-nested run of a left-associative connective prints
-            # without parentheses, here in a loop: a flat chain such as
-            # p /\ q /\ r /\ ... is as deep as it is long
-            run = []
-            while type(a) is t:
-                run.append(b)
-                a, b = a.f1, a.f2
-            rest = "".join([f"{op}{g.name if type(g) is PAtom else format_formula(g, right)}"
-                            for g in reversed(run)])
-        s = (f"{a.name if type(a) is PAtom else format_formula(a, left)}{op}"
-             f"{b.name if type(b) is PAtom else format_formula(b, right)}{rest}")
-        return f"({s})" if prec > op_prec else s
-    if t is Bot:
-        return "bot"
-    if t is Rel:
-        return f"{format_term(f.t1)} {f.op} {format_term(f.t2)}"
-    if t not in _QUANTIFIER_OF:
-        raise TypeError(f"not a formula: {f!r}")
-    q = _QUANTIFIER_OF[t][0]
-    sugar = bounded_sugar(f)
-    if sugar is not None:
-        bound, body = sugar
-        s = f"{q} {f.var} < {format_term(bound)}. {format_formula(body)}"
-    else:
-        s = f"{q} {f.var}. {format_formula(f.body)}"
-    return f"({s})" if prec > _QUANTIFIER_PREC else s
 
 
 # ---------------------------------------------------------------------------
 # Variables, substitution, alpha-equality
 
-def term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    return frozenset().union(*map(term_vars, t.args))
+def all_names(f: Formula | Term) -> frozenset[str]:
+    """Every identifier occurring in f: variables, binders and letters."""
+    out, todo = [], [(f, None)]
+    for n, _ in _walk(todo, out):
+        fields, kids, _ = _PARTS[type(n)](n)
+        out += (n.name,) if type(n) in _NAMED else fields if type(n) in _QUANTIFIER_OF else ()
+        todo += zip(kids, repeat(None))
+    return frozenset(out)
+
+
+term_vars = all_names  # a term's only names are its variables
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Rel):
-        return term_vars(f.t1) | term_vars(f.t2)
-    if isinstance(f, Bot):
-        return frozenset()
-    if isinstance(f, (And, Or, Imp)):
-        return free_vars(f.f1) | free_vars(f.f2)
-    return free_vars(f.body) - {f.var}
-
-
-def all_names(f: Formula) -> frozenset[str]:
-    """Every identifier occurring in f, free or bound.  A stack, not
-    recursion: a flat chain x = 0 /\\ x = 0 /\\ ... is as deep as it is
-    long."""
-    names: set[str] = set()
-    todo = [f]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, Rel):
-            names |= term_vars(g.t1) | term_vars(g.t2)
-        elif isinstance(g, (And, Or, Imp)):
-            todo += g.f1, g.f2
-        elif not isinstance(g, Bot):
-            names.add(g.var)
-            todo.append(g.body)
-    return frozenset(names)
+    out, todo = [], [(f, frozenset())]
+    for n, bound in _walk(todo, out):
+        if type(n) in _QUANTIFIER_OF:
+            todo.append((n.body, bound | {n.var}))
+        else:
+            out += (n.name,) if type(n) is Var and n.name not in bound else ()
+            todo += zip(_PARTS[type(n)](n)[1], repeat(bound))
+    return frozenset(out)
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    """base with the smallest numeric suffix avoiding the given names."""
-    if base not in avoid:
-        return base
-    i = 0
-    while f"{base}{i}" in avoid:
-        i += 1
-    return f"{base}{i}"
+    """base, or base with the smallest numeric suffix, avoiding the names."""
+    return next(n for n in chain([base], (f"{base}{i}" for i in count())) if n not in avoid)
 
 
-def _map_vars(t: Term, env: Mapping[str, Term]) -> Term:
-    """t with each variable that env names replaced by its image."""
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    return App(t.op, tuple(map(_map_vars, t.args, repeat(env))))
+def _rename(f, env: Mapping[str, Term], aux, bind):
+    """f with each free variable that env names replaced by its image.
+    bind(q, env, aux) gives binder q's name and its body's env and aux; no env keeps q."""
+    out, todo = [], [(f, (env, aux))]
+    for n, scope in _walk(todo, out):
+        env, aux = scope
+        if type(n) is Var:
+            out.append(env.get(n.name, n))
+        elif type(n) not in _QUANTIFIER_OF:
+            _rebuild(n, scope, todo, out)
+        else:
+            var, env, aux = bind(n, env, aux)
+            out.append(var if env else n)
+            todo += [_PARTS[type(n)](n)[2], (n.body, (env, aux))] if env else ()
+    return out[0]
 
 
-def substitute_term(t: Term, v: str, r: Term) -> Term:
-    return _map_vars(t, {v: r})
+def _substituted(q, env: Mapping[str, Term], images: frozenset[str]):
+    """Substitution's binder rule (images: at least the variables of env's images):
+    q shields its own variable and is renamed where it would capture an image's."""
+    env = {v: r for v, r in env.items() if v != q.var}
+    if q.var in images:
+        free = free_vars(q.body)
+        env = {v: r for v, r in env.items() if v in free}  # the rest change nothing
+        images = frozenset().union(*map(term_vars, env.values()))
+        if q.var in images:
+            new = fresh_name(q.var, all_names(q.body).union(env, images))
+            return new, {**env, q.var: Var(new)}, images | {new}
+    return q.var, env, images
 
 
-def substitute(f: Formula, v: str, r: Term) -> Formula:
+def substitute(f: Formula | Term, v: str, r: Term):
     """Capture-avoiding substitution of r for free occurrences of v."""
-    if isinstance(f, Rel):
-        return Rel(f.op, substitute_term(f.t1, v, r), substitute_term(f.t2, v, r))
-    if isinstance(f, Bot):
-        return f
-    if isinstance(f, (And, Or, Imp)):
-        return type(f)(substitute(f.f1, v, r), substitute(f.f2, v, r))
-    if f.var == v:
-        return f
-    if v not in free_vars(f.body):
-        return f
-    if f.var in term_vars(r):
-        new = fresh_name(f.var, all_names(f.body) | term_vars(r) | {v})
-        body = substitute(f.body, f.var, Var(new))
-        return type(f)(new, substitute(body, v, r))
-    return type(f)(f.var, substitute(f.body, v, r))
+    return _rename(f, {v: r}, term_vars(r), _substituted)
+
+
+substitute_term = substitute
 
 
 def alpha_normal(f: Formula) -> Formula:
     """f with each bound variable renamed after its binding depth, to
     "#0", "#1", ...: names no identifier can spell, so they never meet a
     free variable.  Alpha-equivalent formulas have equal normal forms."""
-    def go(g: Formula, env: Mapping[str, Var], depth: int) -> Formula:
-        if isinstance(g, Rel):
-            return Rel(g.op, _map_vars(g.t1, env), _map_vars(g.t2, env))
-        if isinstance(g, Bot):
-            return g
-        if isinstance(g, (And, Or, Imp)):
-            return type(g)(go(g.f1, env, depth), go(g.f2, env, depth))
-        name = f"#{depth}"
-        return type(g)(name, go(g.body, {**env, g.var: Var(name)}, depth + 1))
-
-    return go(f, {}, 0)
+    return _rename(f, {}, 0, lambda q, env, depth: (
+        f"#{depth}", {**env, q.var: Var(f"#{depth}")}, depth + 1))
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
@@ -616,33 +617,31 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Rewriting and evaluation
 
+def _collapsed(a: Formula, b: Formula) -> Formula:
+    """Imp(a, b), or the atom that a double negation would wrap."""
+    double = type(b) is Bot and is_negation(a) and isinstance(a.f1, (Rel, Bot))
+    return a.f1 if double else Imp(a, b)
+
+
 def collapse_atom_negations(f: Formula) -> Formula:
     """Rewrite every ~~a with a an atom (=, <, bot) to a, to fixpoint."""
-    if isinstance(f, _ATOMS):
-        return f
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, collapse_atom_negations(f.body))
-    f1 = collapse_atom_negations(f.f1)
-    f2 = collapse_atom_negations(f.f2)
-    g = type(f)(f1, f2)
-    if is_negation(g) and is_negation(negand(g)) and isinstance(negand(negand(g)), _ATOMS):
-        return negand(negand(g))
-    return g
+    out, todo = [], [(f, None)]
+    for g, _ in _walk(todo, out):
+        _rebuild(g, None, todo, out, _Build(_collapsed, 2) if type(g) is Imp else None)
+    return out[0]
 
 
 def eval_term(t: Term, env: Mapping[str, int]) -> int:
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise MissingAssignment(t.name)
-        return env[t.name]
-    # explicit arguments per arity: spreading a map over the arguments
-    # costs three times as much
-    args, value = t.args, _SIGNATURE[t.op].value
-    if len(args) == 2:
-        return value(eval_term(args[0], env), eval_term(args[1], env))
-    if args:
-        return value(eval_term(args[0], env))
-    return value()
+    out, todo = [], [(t, None)]
+    for n, _ in _walk(todo, out):
+        if type(n) is App:  # the symbol's value builds the application's
+            todo.append(_Build(_SIGNATURE[n.op].value, len(n.args)))
+            todo += zip(reversed(n.args), repeat(None))
+        elif n.name in env:
+            out.append(env[n.name])
+        else:
+            raise MissingAssignment(n.name)
+    return out[0]
 
 
 def eval_bounded(f: Formula, env: Mapping[str, int]) -> bool:

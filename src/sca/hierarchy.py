@@ -11,12 +11,13 @@ re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 from .formulas import (
-    _QUANTIFIER_OF, _QUANTIFIERS, And, Bot, Exists, Forall, Formula, Imp, Or,
-    Proj0, Proj1, Rel, Var, all_names, bounded_sugar, format_formula,
-    fresh_name, is_negation, negand, substitute,
+    _PARTS, _PRINTED, _QUANTIFIER_OF, _QUANTIFIERS, Exists, Forall, Formula,
+    Proj0, Proj1, Var, _walk, all_names, bounded_sugar, format_formula,
+    fresh_name, is_negation, substitute,
 )
 from .nodes import (
     ClassLit, Node, canonical_node, class_lit_covers, class_lit_subset,
@@ -73,19 +74,14 @@ class HClass:
 
 def _first_quantifier(f: Formula) -> Formula | None:
     """The leftmost quantified subformula of f under connectives only;
-    None if f is quantifier-free.  A stack, not recursion: a flat chain
-    x = 0 /\\ x = 0 /\\ ... is as deep as it is long."""
-    right: list[Formula] = []
-    while True:
-        if isinstance(f, (And, Or, Imp)):
-            right.append(f.f2)
-            f = f.f1
-        elif not isinstance(f, (Rel, Bot)):
-            return f
-        elif right:
-            f = right.pop()
-        else:
-            return None
+    None if f is quantifier-free."""
+    todo = [(f, None)]
+    for g, _ in _walk(todo, []):
+        if type(g) in _QUANTIFIER_OF:
+            return g
+        if type(g) in _PRINTED:
+            todo += zip(reversed(_PARTS[type(g)](g)[1]), repeat(None))
+    return None
 
 
 def prenex_prefix(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
@@ -124,13 +120,19 @@ def prenex_merge(f: Formula) -> Formula:
     projecting with p0/p1 in the matrix."""
     prefix, matrix = prenex_prefix(f)
     # An outer duplicate of an inner binder binds nothing; rename it so the
-    # prefix variables are pairwise distinct.
-    seen: set[str] = set(all_names(matrix))
+    # prefix variables are pairwise distinct.  A new name avoids every name
+    # of the matrix and the prefix, old and new; as those only grow, each
+    # base's smallest free suffix is sought from the last one found.
+    names, inner, suffix = set(all_names(matrix)) | {v for _, v in prefix}, set(), {}
     for i in range(len(prefix) - 1, -1, -1):
         kind, v = prefix[i]
-        if v in {w for _, w in prefix[i + 1:]}:
-            prefix[i] = (kind, fresh_name(v, seen | {w for _, w in prefix}))
-        seen.add(prefix[i][1])
+        if v in inner:
+            n = suffix.get(v, 0)
+            while f"{v}{n}" in names:
+                n += 1
+            suffix[v], prefix[i] = n, (kind, f"{v}{n}")
+            names.add(prefix[i][1])
+        inner.add(prefix[i][1])
     while True:
         for i in range(len(prefix) - 1):
             if prefix[i][0] == prefix[i + 1][0]:
@@ -181,34 +183,34 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
             seen[key] = str(Node(pid, (ClassLit(0, "S", k),) * pid.arity)) in t
         return seen[key]
 
-    def quantified(q: str, c: HClass, bounded: bool) -> HClass:
-        """The class of a quantifier of polarity q over a body of class c:
-        a body of the quantifier's own polarity is absorbed; a bounded
-        quantifier collapses to the dual class when the theory assumes
-        DML at level j and DNE at level j-1 (j = k for E, k-1 for A);
-        otherwise the quantifier goes up one level."""
+    # Down the spine of quantifiers and negations, then back up it.  A
+    # quantifier of polarity q absorbs a body of its own polarity; a
+    # bounded one collapses to the dual class when the theory assumes DML
+    # at level j and DNE at level j-1 (j = k for E, k-1 for A); otherwise
+    # it goes up one level.  A negation is reclassified by assumed DNE.
+    spine = []
+    while (q := _POLARITY.get(type(f))) is not None or is_negation(f):
+        b = bounded_sugar(f)  # None for a negation
+        spine.append((f, q, b is not None))
+        f = f.f1 if q is None else f.body if b is None else b[1]
+    if _first_quantifier(f) is not None:
+        raise Unclassifiable(f)
+    c = HClass(SIGMA, 0)
+    for g, q, bounded in reversed(spine):
+        c = c.canonical()
         k = c.level
-        if class_subset(c, HClass(q, k)):
-            return HClass(q, max(k, 1))
         j = k if q == SIGMA else k - 1
-        if bounded and assumes(_DML, j) and assumes(_DNE, j - 1):
-            return HClass(PI if q == SIGMA else SIGMA, k)
-        return HClass(q, k + 1)
-
-    def go(g: Formula) -> HClass:
-        if (q := _POLARITY.get(type(g))) is not None:
-            b = bounded_sugar(g)
-            body = g.body if b is None else b[1]
-            return quantified(q, go(body).canonical(), b is not None)
-        if is_negation(g):
-            c = go(negand(g)).canonical()
-            k = c.level
+        if q is None:
             if c.polarity == SIGMA and assumes(_DNE, k - 1):
-                return HClass(PI, k).canonical()
-            if c.polarity == PI and assumes(_DNE, k):
-                return HClass(SIGMA, k)
-        elif _first_quantifier(g) is None:
-            return HClass(SIGMA, 0)
-        raise Unclassifiable(g)
-
-    return go(f)
+                c = HClass(PI, k).canonical()
+            elif c.polarity == PI and assumes(_DNE, k):
+                c = HClass(SIGMA, k)
+            else:
+                raise Unclassifiable(g)
+        elif class_subset(c, HClass(q, k)):
+            c = HClass(q, max(k, 1))
+        elif bounded and assumes(_DML, j) and assumes(_DNE, j - 1):
+            c = HClass(PI if q == SIGMA else SIGMA, k)
+        else:
+            c = HClass(q, k + 1)
+    return c

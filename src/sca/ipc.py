@@ -66,13 +66,7 @@ def parse_prop(src: str) -> PropFormula:
 
 format_prop = fo.format_formula
 
-
-def prop_atoms(f: PropFormula) -> frozenset[str]:
-    if isinstance(f, PAtom):
-        return frozenset((f.name,))
-    if isinstance(f, PBot):
-        return frozenset()
-    return prop_atoms(f.f1) | prop_atoms(f.f2)
+prop_atoms = fo.all_names  # a propositional formula's only names are its letters
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +241,21 @@ def skeletonize(f: Formula) -> PropFormula:
     the original formula is intuitionistically valid (uniform
     substitution).
     """
-    atoms: dict[Formula, str] = {}
+    atoms: dict[str, str] = {}  # by the printed alpha-normal form
 
-    def abstract(g: Formula) -> PropFormula:
-        if isinstance(g, (PAnd, POr, PImp)):
-            return type(g)(abstract(g.f1), abstract(g.f2))
-        if isinstance(g, PBot):
-            return g
-        key = fo.alpha_normal(g)
+    out, todo = [], [(f, None)]
+    for g, _ in fo._walk(todo, out):
+        if isinstance(g, (PAnd, POr, PImp, PBot)):
+            fo._rebuild(g, None, todo, out)
+            continue
+        key = format_prop(fo.alpha_normal(g))
         if key not in atoms:
             if len(atoms) >= _ATOM_BUDGET:
                 raise MalformedSkeleton(
                     f"skeleton needs more than {_ATOM_BUDGET} distinct atoms")
             atoms[key] = _ATOM_NAMES[len(atoms)]
-        return PAtom(atoms[key])
-
-    return abstract(f)
+        out.append(PAtom(atoms[key]))
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

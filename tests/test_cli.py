@@ -349,6 +349,27 @@ _LOADED = [
 ]
 
 
+# Inputs thousands deep: (id, text, each command's output; relclassify's
+# is classify's).  The first two ids are those of the cases before the
+# others were added.
+_CHAIN = " /\\ ".join(["x = 0"] * 3000)
+_ARROWS = " -> ".join(["x = 0"] * 3000)
+# in the merge, each outer duplicate binder gets the next free suffix
+_RENAMED = "".join(f"A y{i}. E x{i}. " for i in reversed(range(1499)))
+_LONG = [
+    ("-Sigma 0", _CHAIN, {"classify": "Sigma 0", "dual": f"~({_CHAIN})", "merge": _CHAIN}),
+    ("E x. -Sigma 1", "E x. " + _CHAIN,
+     {"classify": "Sigma 1", "dual": f"A x. ~({_CHAIN})", "merge": "E x. " + _CHAIN}),
+    ("pair", "E x. E y. " + _CHAIN,
+     {"classify": "Sigma 1", "dual": f"A x. A y. ~({_CHAIN})",
+      "merge": "E u. " + _CHAIN.replace("x", "p0(u)")}),
+    ("arrows", _ARROWS, {"classify": "Sigma 0", "dual": f"~({_ARROWS})", "merge": _ARROWS}),
+    ("alternations", "A y. E x. " * 1500 + "x = y",
+     {"classify": "Pi 3000", "dual": "E y. A x. " * 1500 + "~(x = y)",
+      "merge": _RENAMED + "A y. E x. x = y"}),
+]
+
+
 class TestProcess:
     def test_module_mode(self):
         proc = _module_run("classify", "A x. (x = x)")
@@ -372,6 +393,9 @@ class TestProcess:
         ["classify", "~" * 3000 + "(x = 0)"],
         ["ipc", "~" * 3000 + "p"],
         ["classify", "(" * 3000 + "x = 0" + ")" * 3000],
+        # the prover's search and its formulas' hashing recurse
+        ["ipc", " /\\ ".join(f"p{i}" for i in range(1, 3001)) + " -> p0"],
+        ["ipc", " -> ".join(["p"] * 3000)],
     ])
     def test_deep_input_is_domain_error(self, argv):
         proc = _module_run(*argv)
@@ -379,18 +403,18 @@ class TestProcess:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("prefix, polarity", [("", "Sigma 0"), ("E x. ", "Sigma 1")])
+    @pytest.mark.parametrize("text, answers", [c[1:] for c in _LONG], ids=[c[0] for c in _LONG])
     @pytest.mark.parametrize("command", ["classify", "relclassify", "merge", "dual"])
-    def test_flat_chain_thousands_long(self, capsys, command, prefix, polarity):
-        """A conjunction of 3000 atoms parses into a left-nested And as
-        deep as it is long; every command answers it.  The output text
+    def test_flat_chain_thousands_long(self, capsys, command, text, answers):
+        """Inputs as deep as they are long: a conjunction of 3000 atoms
+        parses into a left-nested And, a 3000-long -> chain into a
+        right-nested Imp, and a prefix of 3000 quantifiers into as many
+        nested quantifiers; every command answers them.  The output text
         is compared, not formulas: dataclass equality recurses."""
-        chain = " /\\ ".join(["x = 0"] * 3000)
         theory = ["--theory", "DNE:S1"] if command == "relclassify" else []
-        code, out, err = _run(capsys, command, prefix + chain, *theory)
-        dual = ("A x. " if prefix else "") + f"~({chain})"
+        code, out, err = _run(capsys, command, text, *theory)
         assert (code, err) == (0, "")
-        assert out == {"merge": prefix + chain, "dual": dual}.get(command, polarity) + "\n"
+        assert out == answers.get(command, answers["classify"]) + "\n"
 
     def test_huge_level_is_domain_error(self):
         # a level past any index: grounding cannot even size its range

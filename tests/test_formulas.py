@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sca import formulas
+from sca import formulas, hierarchy, ipc
 from sca.formulas import (
     Add, And, Bot, Eq, Exists, Forall, Iff, Imp, Lt, MissingAssignment, Mul,
     Not, Or, Pair, ParseError, Proj0, Proj1, Succ, UnboundedQuantifier, Var,
-    Zero, alpha_equal, all_names, bounded_sugar, cantor_fst, cantor_pair,
-    cantor_snd, collapse_atom_negations, eval_bounded, eval_term,
+    Zero, alpha_equal, alpha_normal, all_names, bounded_sugar, cantor_fst,
+    cantor_pair, cantor_snd, collapse_atom_negations, eval_bounded, eval_term,
     format_formula, format_term, free_vars, parse, parse_term, substitute,
+    substitute_term, term_vars,
 )
 from tests.conftest import bounded_sentences, prenex, qfree
 
@@ -359,3 +363,180 @@ class TestAlphaEqual:
     def test_all_names_superset_of_free(self):
         f = parse("E x. (x = y)")
         assert free_vars(f) <= all_names(f)
+
+
+# ---------------------------------------------------------------------------
+# Depth: formulas and terms ten times deeper than the recursion limit,
+# built with the constructors (the parser's nesting stays limited), through
+# every walker.  Printed text is compared, never formulas: dataclass
+# equality and hashing recurse.
+
+DEEP = 10_000
+X0 = "x = 0"
+
+
+def _deep_and():
+    f = Eq(Var("x"), Zero())
+    for _ in range(DEEP - 1):
+        f = And(f, Eq(Var("x"), Zero()))
+    return f, " /\\ ".join([X0] * DEEP)
+
+
+def _deep_imp():
+    f = Eq(Var("x"), Zero())
+    for _ in range(DEEP - 1):
+        f = Imp(Eq(Var("x"), Zero()), f)
+    return f, " -> ".join([X0] * DEEP)
+
+
+def _deep_prefix():
+    """A y. E x < y. ... x = z: bounded and unbounded quantifiers."""
+    f = Eq(Var("x"), Var("z"))
+    for _ in range(DEEP // 2):
+        f = Forall("y", Exists("x", And(Lt(Var("x"), Var("y")), f)))
+    return f, "A y. E x < y. " * (DEEP // 2) + "x = z"
+
+
+def _deep_not():
+    f = Eq(Var("x"), Zero())
+    for _ in range(DEEP):
+        f = Not(f)
+    return f, "~" * DEEP + f"({X0})"
+
+
+def _deep_term(op, leaf):
+    t = leaf
+    for _ in range(DEEP):
+        t = op(t)
+    return t
+
+
+class TestDepth:
+    @pytest.mark.parametrize("shape", [_deep_and, _deep_imp, _deep_not])
+    def test_quantifier_free(self, shape):
+        f, text = shape()
+        one = text.replace("x", "S(0)")
+        assert format_formula(f) == text
+        assert free_vars(f) == all_names(f) == {"x"}
+        assert format_formula(substitute(f, "x", Succ(Zero()))) == one
+        assert format_formula(alpha_normal(f)) == text
+        assert eval_bounded(Or(Eq(Var("x"), Var("x")), f), {"x": 0})
+        collapsed = text if shape is not _deep_not else X0  # DEEP is even
+        assert format_formula(collapse_atom_negations(f)) == collapsed
+        skeleton = ipc.skeletonize(f)
+        assert format_formula(skeleton) == text.replace(f"({X0})", "a").replace(X0, "a")
+        assert ipc.prop_atoms(skeleton) == {"a"}
+        assert hierarchy._first_quantifier(f) is None
+        assert str(hierarchy.relative_classify(f)) == "Sigma 0"
+
+    def test_quantifier_prefix(self):
+        f, text = _deep_prefix()
+        assert format_formula(f) == text
+        assert free_vars(f) == {"z"}
+        assert all_names(f) == {"x", "y", "z"}
+        assert format_formula(substitute(f, "z", Succ(Zero()))) == text[:-1] + "S(0)"
+        assert format_formula(substitute(f, "x", Succ(Zero()))) == text
+        normal = "".join(f"A #{i}. E #{i + 1} < #{i}. " for i in range(0, DEEP, 2))
+        assert format_formula(alpha_normal(f)) == normal + f"#{DEEP - 1} = z"
+        assert format_formula(collapse_atom_negations(f)) == text
+        assert format_formula(ipc.skeletonize(f)) == "a"
+        assert hierarchy._first_quantifier(And(Bot(), f)) is f
+        assert str(hierarchy.relative_classify(f)) == f"Pi {DEEP}"
+        with pytest.raises(hierarchy.Unclassifiable) as e:
+            hierarchy.relative_classify(Not(f))
+        assert str(e.value) == f"unclassifiable subformula: ~({text})"
+
+    @pytest.mark.parametrize("op, leaf, text, names, value", [
+        (Succ, Zero(), "S(" * DEEP + "0" + ")" * DEEP, set(), DEEP),
+        (Proj0, Var("x"), "p0(" * DEEP + "x" + ")" * DEEP, {"x"}, 0),
+    ], ids=["S", "p0"])
+    def test_terms(self, op, leaf, text, names, value):
+        t = _deep_term(op, leaf)
+        assert format_term(t) == text
+        assert term_vars(t) == names
+        assert eval_term(t, {"x": 0}) == value
+        assert format_term(substitute_term(t, "x", Var("y"))) == text.replace("x", "y")
+        f = Eq(t, Var("w"))
+        assert format_formula(f) == f"{text} = w"
+        assert free_vars(f) == all_names(f) == names | {"w"}
+        assert format_formula(alpha_normal(Exists("w", f))) == f"E #0. {text} = #0"
+        assert format_formula(substitute(f, "w", t)) == f"{text} = {text}"
+        assert format_formula(collapse_atom_negations(Not(Not(f)))) == f"{text} = w"
+        assert format_formula(ipc.skeletonize(f)) == "a"
+        assert str(hierarchy.relative_classify(f)) == "Sigma 0"
+        assert eval_bounded(Eq(t, t), {"x": 0})
+
+
+# ---------------------------------------------------------------------------
+# Which functions still recurse
+
+SRC = pathlib.Path(formulas.__file__).parent
+
+# the parser's parentheses, ~ and term nesting; eval_bounded, which
+# short-circuits and raises MissingAssignment only on the branch it takes;
+# and the prover's search and trace replay, whose formulas' hashing recurses too
+RECURSIVE = {
+    "formulas.py": {"_Parser.term", "_Parser.term_prim", "_Parser.formula",
+                    "_Parser.unary", "_Parser.atom_formula", "eval_bounded"},
+    "ipc.py": {"_PropParser.unary", "_search", "_apply", "_step", "validate_trace"},
+    "hierarchy.py": set(),
+}
+
+
+def _recursive_functions(tree: ast.Module) -> set[str]:
+    """The functions of a module that can call themselves, directly or
+    through one another: a name or self.attribute in a function's body
+    is taken to call every function or method of that name."""
+    funcs: dict[str, ast.AST] = {}
+    aliases: dict[str, str] = {}
+
+    def collect(node, prefix=""):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef):
+                    funcs[prefix + child.name] = child
+                collect(child, f"{prefix}{child.name}.")
+            elif (isinstance(child, ast.Assign) and isinstance(child.value, ast.Name)
+                  and not prefix):
+                aliases.update((t.id, child.value.id) for t in child.targets
+                               if isinstance(t, ast.Name))
+
+    collect(tree)
+    by_name: dict[str, set[str]] = {}
+    for q in funcs:
+        by_name.setdefault(q.rsplit(".", 1)[-1], set()).add(q)
+
+    def calls(fn) -> set[str]:
+        out, todo = set(), list(ast.iter_child_nodes(fn))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.Name):
+                out |= by_name.get(aliases.get(node.id, node.id), set())
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"):
+                out |= by_name.get(node.attr, set())
+            todo += ast.iter_child_nodes(node)
+        return out
+
+    edges = {q: calls(fn) for q, fn in funcs.items()}
+
+    def reaches(start: str, goal: str) -> bool:
+        seen, todo = set(), list(edges[start])
+        while todo:
+            q = todo.pop()
+            if q == goal:
+                return True
+            if q not in seen:
+                seen.add(q)
+                todo += edges[q]
+        return False
+
+    return {q for q in funcs if reaches(q, q)}
+
+
+@pytest.mark.parametrize("module", sorted(RECURSIVE))
+def test_only_the_listed_functions_recurse(module):
+    """Every other walker of these modules is iterative: a new recursive
+    function fails here until it is listed, or made a walk."""
+    tree = ast.parse((SRC / module).read_text())
+    assert _recursive_functions(tree) == RECURSIVE[module]
