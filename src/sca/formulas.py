@@ -12,10 +12,12 @@ _RELATIONS (= <), _CONNECTIVES (constructor, binding strength,
 associativity) and _QUANTIFIERS (constructor, bounded-sugar connective).
 Zero, Succ, Add, Mul, Pair, Proj0, Proj1, Eq and Lt are constructor
 functions: Succ(t) is App("S", (t,)) and Lt(a, b) is Rel("<", a, b).
-Every traversal of terms and formulas is one walk (_walk) over an explicit
-stack and each node's parts (_PARTS, read from these tables), so answers do
-not depend on depth; only eval_bounded and the parser's nesting (brackets,
-~, prefix terms, quantifiers inside connectives) recurse.
+Every walk of terms and formulas is a loop over an explicit stack that
+reads a node's children, and rebuilds it, from one table, _PARTS, read
+from these tables; the printer, whose layout places each operand, names a
+connective's two operands itself.  So answers do not depend on depth: only
+eval_bounded and the parser's nesting (brackets, ~, prefix terms,
+quantifiers inside connectives) recurse.
 
 Propositional formulas are the same connectives over bot and propositional
 letters (PAtom); the printer and the bounded evaluator handle letters, and
@@ -28,8 +30,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import chain, count, repeat
+from functools import partial
 from typing import Callable, Mapping, NamedTuple, Union
 
 __all__ = [
@@ -90,6 +91,42 @@ class Rel:
     op: str
     t1: Term
     t2: Term
+
+
+def Zero() -> Term:
+    return App("0", ())
+
+
+def Succ(t: Term) -> Term:
+    return App("S", (t,))
+
+
+def Add(a: Term, b: Term) -> Term:
+    return App("+", (a, b))
+
+
+def Mul(a: Term, b: Term) -> Term:
+    return App("*", (a, b))
+
+
+def Pair(a: Term, b: Term) -> Term:
+    return App("pair", (a, b))
+
+
+def Proj0(t: Term) -> Term:
+    return App("p0", (t,))
+
+
+def Proj1(t: Term) -> Term:
+    return App("p1", (t,))
+
+
+def Eq(a: Term, b: Term) -> Rel:
+    return Rel("=", a, b)
+
+
+def Lt(a: Term, b: Term) -> Rel:
+    return Rel("<", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +242,6 @@ _TIGHTEST = max(_INFIX.values())
 _RELATIONS = {"=": operator.eq, "<": operator.lt}
 
 
-def _app(op: str, *args: Term) -> Term:
-    return App(op, args)
-
-
-Zero, Succ, Add, Mul, Pair, Proj0, Proj1 = (
-    partial(_app, op) for op in ("0", "S", "+", "*", "pair", "p0", "p1"))
-Eq, Lt = partial(Rel, "="), partial(Rel, "<")
-
-
 class _Connective(NamedTuple):
     build: Callable[[Formula, Formula], Formula]
     prec: int  # binding strength; ~ binds more tightly than every entry
@@ -228,15 +256,17 @@ _CONNECTIVES = {
     "/\\": _Connective(And, 4, False),
 }
 
-# per printed class: the symbol, its prec, and the precs its operands
-# print at; a quantifier binds as loosely as the loosest of them
+# per printed connective (by class), the text, its prec, and the precs
+# its operands print at; a quantifier binds as loosely as the loosest
 _PRINTED = {c.build: (f" {op} ", c.prec, c.prec + c.right, c.prec + (not c.right))
             for op, c in _CONNECTIVES.items() if isinstance(c.build, type)}
 
 _QUANTIFIER_PREC = min(c[1] for c in _PRINTED.values())
 
-# the same for each infix symbol, at the strengths of terms
-_PRINTED_INFIX = {op: (f" {op} ", p, p, p + 1) for op, p in _INFIX.items()}
+# the same for each infix symbol, at the strengths of terms, and for each
+# relation, which no context parenthesizes and whose terms print at 0
+_PRINTED.update({op: (f" {op} ", p, p, p + 1) for op, p in _INFIX.items()})
+_PRINTED.update({op: (f" {op} ", math.inf, 0, 0) for op in _RELATIONS})
 
 
 # each quantifier's constructor, and the connective that joins x < t to
@@ -339,19 +369,28 @@ class _Parser:
     # -- formulas ---------------------------------------------------------
 
     def formula(self, prec: int = 0) -> Formula:
-        """A formula whose connectives bind at least as tightly as prec; a
-        run of one connective is read in a loop, then folded."""
+        """A formula whose connectives bind at least as tightly as prec.  A
+        run of a left-associative connective folds as it is read; a
+        right-associative one is read in a loop, then folded from the right."""
         f = self.unary()
         while (c := _CONNECTIVES.get(op := self.peek()[1])) is not None and c.prec >= prec:
-            run = [f]
+            self.i += 1
+            if not c.right:
+                f = c.build(f, self.formula(c.prec + 1))
+                continue
+            run = [f, self.formula(c.prec + 1)]
             while self.eat(op):
                 run.append(self.formula(c.prec + 1))
-            f = reduce(lambda x, y: c.build(y, x), run[::-1]) if c.right else reduce(c.build, run)
+            f = run.pop()
+            while run:
+                f = c.build(run.pop(), f)
         return f
 
     def unary(self) -> Formula:
         if self.eat("~"):
             return Not(self.unary())
+        if self.peek()[1] not in _QUANTIFIERS:
+            return self.atom_formula()
         headers = []  # a run of quantifier headers, E x. A y < t. ..., in a loop
         while (tok := self.peek()[1]) in _QUANTIFIERS:
             self.i += 1
@@ -361,8 +400,7 @@ class _Parser:
             bound = self.term() if self.eat("<") else None
             self.expect(".")
             headers.append((*_QUANTIFIERS[tok], var, bound))
-        # a quantifier's scope extends maximally right
-        f = self.formula() if headers else self.atom_formula()
+        f = self.formula()  # a quantifier's scope extends maximally right
         for build, bounding, var, bound in reversed(headers):
             f = build(var, f if bound is None else bounding(Lt(Var(var), bound), f))
         return f
@@ -410,47 +448,30 @@ def parse_term(src: str) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# The walk
+# Children
 
-class _Build(NamedTuple):
-    build: Callable
-    n: int
-
-
-def _walk(todo: list, out: list):
-    """The one traversal, on the explicit stack todo: yields each (node,
-    env) pair popped, and for each the walker appends the node's first
-    outputs to out and pushes what follows, last first: pairs, _Builds
-    (which replace the outputs before them) and outputs (never tuples)."""
-    while todo:
-        item = todo.pop()
-        kind = type(item)
-        if kind is tuple:
-            yield item
-        elif kind is _Build:
-            k = len(out) - item.n
-            out[k:] = [item.build(*out[k:])]
-        else:
-            out.append(item)
-
-
-# each node class's (fields, children, build), read from the tables above:
-# build(*fields, *children) makes the node again; a leaf has no build
+# each node class's children, last first as a stack walk pushes them, and
+# its rebuild from new children, first first, read from the tables above:
+# a connective's operands, a quantifier's body, a relation's terms and an
+# application's arguments; a variable, letter or bot has none
 _PARTS = {
-    **dict.fromkeys((Var, PAtom, Bot), lambda n: ((), (), None)),
-    **{c: lambda n, b=_Build(c, 2): ((), (n.f1, n.f2), b) for c in _PRINTED},
-    **{q: lambda n, b=_Build(q, 2): ((n.var,), (n.body,), b) for q in _QUANTIFIER_OF},
-    Rel: lambda n, b=_Build(Rel, 3): ((n.op,), (n.t1, n.t2), b),
-    App: lambda n, b={s.arity: _Build(_app, 1 + s.arity) for s in _SIGNATURE.values()}: (
-        (n.op,), n.args, b[len(n.args)]),
+    **dict.fromkeys((Var, PAtom, Bot), (lambda n: (), None)),
+    **dict.fromkeys((c.build for c in _CONNECTIVES.values() if isinstance(c.build, type)), (
+        operator.attrgetter("f2", "f1"), lambda n, kids: type(n)(*kids))),
+    **dict.fromkeys(_QUANTIFIER_OF, (lambda n: (n.body,), lambda n, kids: type(n)(n.var, *kids))),
+    Rel: (operator.attrgetter("t2", "t1"), lambda n, kids: Rel(n.op, *kids)),
+    App: (lambda n: n.args[::-1], lambda n, kids: App(n.op, tuple(kids))),
 }
 
 
-def _rebuild(n, env, todo: list, out: list, build: _Build | None = None) -> None:
-    """Walk n's children under env and make n again, by build if given."""
-    fields, kids, own = _PARTS[type(n)](n)
-    out += fields if own else (n,)
-    todo += (build or own, *zip(reversed(kids), repeat(env))) if own else ()
+def _remade(n, out: list):
+    """n with its children replaced by the last outputs of a walk, which it
+    takes from out; n itself where each is its old child."""
+    children, rebuild = _PARTS[type(n)]
+    old = children(n)
+    new = out[-len(old):]
+    del out[-len(old):]
+    return rebuild(n, new) if any(map(operator.is_not, reversed(new), old)) else n
 
 
 # ---------------------------------------------------------------------------
@@ -463,54 +484,91 @@ def format_formula(f: Formula | Term, prec: int = 0) -> str:
     """Printer of formulas and terms, inverse of parse and parse_term up to
     whitespace: an infix application or connective in a context (at binding
     strength prec) that binds more tightly is parenthesized."""
-    # the walk's stack, inline: no builds here, and a generator step costs a fifth
-    out, todo = [], [(f, prec)]
-    while todo:
-        if type(n := todo.pop()) is str:
-            out.append(n)
-            continue
-        n, prec = n
-        while n is not None:  # n prints next, and then its first operand
-            t = type(n)
-            if t in _NAMED or t is Bot or t is App and not n.args:
-                out.append(n.name if t in _NAMED else "bot" if t is Bot else n.op)
-                n = None
-            elif t is Imp and type(n.f2) is Bot:
-                bare = type(n.f1) in (Bot, PAtom) or is_negation(n.f1)
-                out.append("~" if bare else "~(")
-                todo += () if bare else (")",)
-                n, prec = n.f1, 0
-            elif (c := _PRINTED_INFIX.get(n.op) if t is App else _PRINTED.get(t)) is not None:
-                (op, op_prec, left, right), (a, b) = c, n.args if t is App else (n.f1, n.f2)
-                if prec > op_prec:
-                    out.append("(")
-                    todo.append(")")
-                if type(a) in _NAMED:  # a letter or variable, and its operator, print at once
-                    out += a.name, op
-                    n, prec = b, right
+    # f prints next, then its first operand, and then the stack: texts, and
+    # operands each above the strength it prints at.  A letter operand of a
+    # connective, and a variable left operand of an infix symbol or
+    # relation, print in place: that is most of the prover's letters.
+    out, todo = "", []
+    while True:
+        t = type(f)
+        if (c := _PRINTED.get(t)) is not None:  # a connective
+            a, b = f.f1, f.f2
+            if t is Imp and type(b) is Bot:
+                if type(a) is PAtom:
+                    out += "~" + a.name
+                elif type(a) is Bot or is_negation(a):
+                    out += "~"
+                    f, prec = a, 0
+                    continue
                 else:
-                    todo += b.name if type(b) in _NAMED else (b, right), op
-                    n, prec = a, left
-            elif t is App:  # a prefix symbol; arguments print at strength 0
-                out.append(f"{n.op}(")
-                todo.append(")")
-                for a in n.args[:0:-1]:
-                    todo += (a, 0), ", "
-                n, prec = n.args[0], 0
-            elif t is Rel:
-                todo += (n.t2, 0), f" {n.op} "
-                n, prec = n.t1, 0
-            elif t in _QUANTIFIER_OF:
-                if prec > _QUANTIFIER_PREC:
-                    out.append("(")
+                    out += "~("
                     todo.append(")")
-                sugar = bounded_sugar(n)
-                out.append(f"{_QUANTIFIER_OF[t][0]} {n.var}{'. ' if sugar is None else ' < '}")
-                todo += () if sugar is None else ((sugar[1], 0), ". ")
-                n, prec = n.body if sugar is None else sugar[0], 0
+                    f, prec = a, 0
+                    continue
             else:
-                raise TypeError(f"not a formula: {n!r}")
-    return "".join(out)
+                op, op_prec, left, right = c
+                if prec > op_prec:
+                    out += "("
+                    todo.append(")")
+                if type(a) is not PAtom:
+                    todo += (op + b.name,) if type(b) is PAtom else (right, b, op)
+                    f, prec = a, left
+                    continue
+                if type(b) is not PAtom:
+                    out += a.name + op
+                    f, prec = b, right
+                    continue
+                out += a.name + op + b.name
+        elif t in _NAMED:
+            out += f.name
+        elif (t is Rel or t is App) and (c := _PRINTED.get(f.op)) is not None:
+            op, op_prec, left, right = c  # an infix symbol or a relation
+            if prec > op_prec:
+                out += "("
+                todo.append(")")
+            b, a = _PARTS[t][0](f)
+            if type(a) is Var:
+                out += a.name + op
+                f, prec = b, right
+            else:
+                todo += right, b, op
+                f, prec = a, left
+            continue
+        elif t is Bot:
+            out += "bot"
+        elif t is App:  # a prefix symbol; its arguments print at strength 0
+            if not f.args:
+                out += f.op
+            else:
+                out += f"{f.op}("
+                todo.append(")")
+                for a in f.args[:0:-1]:
+                    todo += 0, a, ", "
+                f, prec = f.args[0], 0
+                continue
+        elif t in _QUANTIFIER_OF:
+            if prec > _QUANTIFIER_PREC:
+                out += "("
+                todo.append(")")
+            sugar = bounded_sugar(f)
+            if sugar is None:
+                out += f"{_QUANTIFIER_OF[t][0]} {f.var}. "
+                f, prec = f.body, 0
+            else:
+                out += f"{_QUANTIFIER_OF[t][0]} {f.var} < "
+                todo += 0, sugar[1], ". "
+                f, prec = sugar[0], 0
+            continue
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        while todo:  # f is printed: the stack's texts, up to its next operand
+            f = todo.pop()
+            if type(f) is not str:
+                prec = todo.pop()
+                break
+            out += f
+        else:
+            return out
 
 
 format_term = format_formula
@@ -535,47 +593,77 @@ def bounded_sugar(f: Formula) -> tuple[Term, Formula] | None:
 
 def all_names(f: Formula | Term) -> frozenset[str]:
     """Every identifier occurring in f: variables, binders and letters."""
-    out, todo = [], [(f, None)]
-    for n, _ in _walk(todo, out):
-        fields, kids, _ = _PARTS[type(n)](n)
-        out += (n.name,) if type(n) in _NAMED else fields if type(n) in _QUANTIFIER_OF else ()
-        todo += zip(kids, repeat(None))
-    return frozenset(out)
+    names, todo = set(), [f]
+    while todo:
+        n = todo.pop()
+        if type(n) in _NAMED:
+            names.add(n.name)
+        else:
+            if type(n) in _QUANTIFIER_OF:
+                names.add(n.var)
+            todo += _PARTS[type(n)][0](n)
+    return frozenset(names)
 
 
 term_vars = all_names  # a term's only names are its variables
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    out, todo = [], [(f, frozenset())]
-    for n, bound in _walk(todo, out):
-        if type(n) in _QUANTIFIER_OF:
-            todo.append((n.body, bound | {n.var}))
+    free, bound, todo = set(), {}, [f]  # bound: how many binders hold each name
+    while todo:
+        n = todo.pop()
+        if type(n) is Var:
+            if not bound.get(n.name):
+                free.add(n.name)
+        elif type(n) is str:  # the scope of a binder of n ends
+            bound[n] -= 1
+        elif type(n) in _QUANTIFIER_OF:
+            bound[n.var] = bound.get(n.var, 0) + 1
+            todo += n.var, n.body
         else:
-            out += (n.name,) if type(n) is Var and n.name not in bound else ()
-            todo += zip(_PARTS[type(n)](n)[1], repeat(bound))
-    return frozenset(out)
+            todo += _PARTS[type(n)][0](n)
+    return frozenset(free)
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    """base, or base with the smallest numeric suffix, avoiding the names."""
-    return next(n for n in chain([base], (f"{base}{i}" for i in count())) if n not in avoid)
+    """base with the smallest numeric suffix avoiding the given names."""
+    if base not in avoid:
+        return base
+    i = 0
+    while f"{base}{i}" in avoid:
+        i += 1
+    return f"{base}{i}"
 
 
 def _rename(f, env: Mapping[str, Term], aux, bind):
-    """f with each free variable that env names replaced by its image.
-    bind(q, env, aux) gives binder q's name and its body's env and aux; no env keeps q."""
-    out, todo = [], [(f, (env, aux))]
-    for n, scope in _walk(todo, out):
-        env, aux = scope
+    """f with each free variable that env names replaced by its image, made
+    again only where something changed.  bind(q, env, aux) gives binder q's
+    name and its body's env and aux; no env keeps q."""
+    out, todo = [], [f]
+    while todo:
+        n = todo.pop()
         if type(n) is Var:
             out.append(env.get(n.name, n))
-        elif type(n) not in _QUANTIFIER_OF:
-            _rebuild(n, scope, todo, out)
+        elif type(n) is tuple:  # n's children are made: n again, and n's scope ends
+            n, var, env, aux = n
+            if var is None:
+                out.append(_remade(n, out))
+            elif var is not n.var or out[-1] is not n.body:
+                out[-1] = type(n)(var, out[-1])
+            else:
+                out[-1] = n
+        elif type(n) in _QUANTIFIER_OF:
+            var, inner, inner_aux = bind(n, env, aux)
+            if inner:
+                todo += (n, var, env, aux), n.body
+                env, aux = inner, inner_aux
+            else:
+                out.append(n)
+        elif kids := _PARTS[type(n)][0](n):
+            todo.append((n, None, env, aux))
+            todo += kids
         else:
-            var, env, aux = bind(n, env, aux)
-            out.append(var if env else n)
-            todo += [_PARTS[type(n)](n)[2], (n.body, (env, aux))] if env else ()
+            out.append(n)
     return out[0]
 
 
@@ -617,31 +705,47 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Rewriting and evaluation
 
-def _collapsed(a: Formula, b: Formula) -> Formula:
-    """Imp(a, b), or the atom that a double negation would wrap."""
-    double = type(b) is Bot and is_negation(a) and isinstance(a.f1, (Rel, Bot))
-    return a.f1 if double else Imp(a, b)
-
-
 def collapse_atom_negations(f: Formula) -> Formula:
     """Rewrite every ~~a with a an atom (=, <, bot) to a, to fixpoint."""
-    out, todo = [], [(f, None)]
-    for g, _ in _walk(todo, out):
-        _rebuild(g, None, todo, out, _Build(_collapsed, 2) if type(g) is Imp else None)
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is tuple:  # g's operands are rewritten: g again, or its atom
+            g = _remade(g[0], out)
+            double = type(g) is Imp and type(g.f2) is Bot and is_negation(g.f1) and (
+                type(g.f1.f1) in (Rel, Bot))
+            out.append(g.f1.f1 if double else g)
+        elif type(g) is Rel or type(g) is Bot:
+            out.append(g)
+        else:
+            todo.append((g,))
+            todo += _PARTS[type(g)][0](g)
     return out[0]
 
 
 def eval_term(t: Term, env: Mapping[str, int]) -> int:
-    out, todo = [], [(t, None)]
-    for n, _ in _walk(todo, out):
-        if type(n) is App:  # the symbol's value builds the application's
-            todo.append(_Build(_SIGNATURE[n.op].value, len(n.args)))
-            todo += zip(reversed(n.args), repeat(None))
-        elif n.name in env:
-            out.append(env[n.name])
+    # explicit arguments per arity: spreading them costs three times as much
+    values, todo = [], [t]
+    while todo:
+        n = todo.pop()
+        if type(n) is App:  # its symbol applies once its arguments are valued
+            s = _SIGNATURE[n.op]
+            if s.arity == 2:
+                todo += s, n.args[1], n.args[0]
+            elif s.arity:
+                todo += s, n.args[0]
+            else:
+                values.append(s.value())
+        elif type(n) is Var:
+            if n.name not in env:
+                raise MissingAssignment(n.name)
+            values.append(env[n.name])
+        elif n.arity == 2:
+            b = values.pop()
+            values[-1] = n.value(values[-1], b)
         else:
-            raise MissingAssignment(n.name)
-    return out[0]
+            values[-1] = n.value(values[-1])
+    return values[0]
 
 
 def eval_bounded(f: Formula, env: Mapping[str, int]) -> bool:

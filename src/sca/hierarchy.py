@@ -11,13 +11,12 @@ re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable
 
 from .formulas import (
-    _PARTS, _PRINTED, _QUANTIFIER_OF, _QUANTIFIERS, Exists, Forall, Formula,
-    Proj0, Proj1, Var, _walk, all_names, bounded_sugar, format_formula,
-    fresh_name, is_negation, substitute,
+    _PARTS, _QUANTIFIER_OF, _QUANTIFIERS, Exists, Forall, Formula, Proj0,
+    Proj1, Rel, Var, all_names, bounded_sugar, format_formula, fresh_name,
+    is_negation, substitute,
 )
 from .nodes import (
     ClassLit, Node, canonical_node, class_lit_covers, class_lit_subset,
@@ -75,12 +74,13 @@ class HClass:
 def _first_quantifier(f: Formula) -> Formula | None:
     """The leftmost quantified subformula of f under connectives only;
     None if f is quantifier-free."""
-    todo = [(f, None)]
-    for g, _ in _walk(todo, []):
+    todo = [f]
+    while todo:
+        g = todo.pop()
         if type(g) in _QUANTIFIER_OF:
             return g
-        if type(g) in _PRINTED:
-            todo += zip(reversed(_PARTS[type(g)](g)[1]), repeat(None))
+        if type(g) is not Rel:  # a connective's operands; bot has none
+            todo += _PARTS[type(g)][0](g)
     return None
 
 
@@ -192,7 +192,10 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
     while (q := _POLARITY.get(type(f))) is not None or is_negation(f):
         b = bounded_sugar(f)  # None for a negation
         spine.append((f, q, b is not None))
-        f = f.f1 if q is None else f.body if b is None else b[1]
+        if q is None:
+            f = f.f1
+        else:
+            f = f.body if b is None else b[1]
     if _first_quantifier(f) is not None:
         raise Unclassifiable(f)
     c = HClass(SIGMA, 0)

@@ -241,20 +241,26 @@ def skeletonize(f: Formula) -> PropFormula:
     the original formula is intuitionistically valid (uniform
     substitution).
     """
-    atoms: dict[str, str] = {}  # by the printed alpha-normal form
-
-    out, todo = [], [(f, None)]
-    for g, _ in fo._walk(todo, out):
-        if isinstance(g, (PAnd, POr, PImp, PBot)):
-            fo._rebuild(g, None, todo, out)
-            continue
-        key = format_prop(fo.alpha_normal(g))
-        if key not in atoms:
-            if len(atoms) >= _ATOM_BUDGET:
-                raise MalformedSkeleton(
-                    f"skeleton needs more than {_ATOM_BUDGET} distinct atoms")
-            atoms[key] = _ATOM_NAMES[len(atoms)]
-        out.append(PAtom(atoms[key]))
+    # atoms by their printed alpha-normal form: hashing a deep formula recurses
+    atoms: dict[str, str] = {}
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is tuple:  # g's operands are abstracted: g again, over them
+            out.append(fo._remade(g[0], out))
+        elif isinstance(g, (PAnd, POr, PImp)):
+            todo.append((g,))
+            todo += fo._PARTS[type(g)][0](g)
+        elif isinstance(g, PBot):
+            out.append(g)
+        else:
+            key = format_prop(fo.alpha_normal(g))
+            if key not in atoms:
+                if len(atoms) >= _ATOM_BUDGET:
+                    raise MalformedSkeleton(
+                        f"skeleton needs more than {_ATOM_BUDGET} distinct atoms")
+                atoms[key] = _ATOM_NAMES[len(atoms)]
+            out.append(PAtom(atoms[key]))
     return out[0]
 
 

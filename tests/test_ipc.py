@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sca.formulas import parse
+from sca.formulas import (
+    And, Bot, Eq, Exists, Forall, Imp, Lt, Not, Or, Var, alpha_equal,
+    alpha_normal, parse, substitute,
+)
 from sca.ipc import (
     FAILED, NEEDS_FIRST_ORDER, VERIFIED, MalformedSkeleton, PAnd, PAtom, PBot,
     PImp, PNot, POr, Sequent, Trace, format_prop, parse_prop, prop_atoms,
@@ -318,7 +321,45 @@ class TestProveClassical:
         assert prove_classical(parse_prop("~(p /\\ q) -> (~p \\/ ~q)"))
 
 
+@st.composite
+def _formulas(draw, depth: int = 3, quantified: bool = False):
+    """A formula over x and y, with quantifiers, bare and in bounded sugar,
+    under connectives: a small space, so that alpha-equal formulas meet
+    often.  A quantified one has a quantifier at the top."""
+    v = draw(st.sampled_from("xy"))
+    if depth == 0:
+        return Eq(Var(v), Var(draw(st.sampled_from("xy"))))
+    kind = draw(st.integers(3 if quantified else 0, 4))
+    sub = _formulas(depth - 1)
+    if kind == 0:
+        return Bot()
+    if kind == 1:
+        return Not(draw(sub))
+    if kind == 2:
+        return draw(st.sampled_from([And, Or, Imp]))(draw(sub), draw(sub))
+    q, body = draw(st.sampled_from([Exists, Forall])), draw(sub)
+    if kind == 3:
+        return q(v, body)
+    bound = Lt(Var(v), Var(draw(st.sampled_from("xy"))))
+    return q(v, And(bound, body) if q is Exists else Imp(bound, body))
+
+
 class TestSkeletonize:
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_one_atom_exactly_for_alpha_equal_formulas(self, data):
+        """Atoms are keyed by the printed alpha-normal form, so the printer
+        must tell alpha-normal forms apart, #k names, bounded sugar and
+        parenthesized quantifiers included."""
+        f = data.draw(_formulas(quantified=True))
+        renamed = type(f)("u", substitute(f.body, f.var, Var("u")))
+        g = data.draw(st.one_of(_formulas(quantified=True), st.just(renamed)))
+        assert (format_prop(skeletonize(And(f, g))) == "a /\\ a") == alpha_equal(f, g)
+        # the printed form determines the normal form: read back, with its
+        # #k names respelled, it normalizes to the same formula
+        normal = alpha_normal(f)
+        assert alpha_normal(parse(format_prop(normal).replace("#", "_"))) == normal
+
     def test_shared_atom(self):
         sk = skeletonize(parse("(E x. (x = 0)) \\/ ~(E x. (x = 0))"))
         assert format_prop(sk) == format_prop(
