@@ -14,10 +14,11 @@ Zero, Succ, Add, Mul, Pair, Proj0, Proj1, Eq and Lt are constructor
 functions: Succ(t) is App("S", (t,)) and Lt(a, b) is Rel("<", a, b).
 Every walk of terms and formulas is a loop over an explicit stack that
 reads a node's children, and rebuilds it, from one table, _PARTS, read
-from these tables; the printer, whose layout places each operand, names a
-connective's two operands itself.  So answers do not depend on depth: only
-eval_bounded and the parser's nesting (brackets, ~, prefix terms,
-quantifiers inside connectives) recurse.
+from these tables.  The printer too reads every operand of a connective,
+infix symbol or relation from _PARTS; only ~, prefix symbols and the
+quantifiers, whose layout is their own, name theirs.  So answers do not
+depend on depth: only eval_bounded and the parser's nesting (brackets, ~,
+prefix terms, quantifiers inside connectives) recurse.
 
 Propositional formulas are the same connectives over bot and propositional
 letters (PAtom); the printer and the bounded evaluator handle letters, and
@@ -479,63 +480,37 @@ def _remade(n, out: list):
 
 _NAMED = {Var, PAtom}
 
+_BARE = {PAtom, Bot}  # ~ takes these, and negations, without brackets
 
-def format_formula(f: Formula | Term, prec: int = 0) -> str:
+
+def format_formula(f: Formula | Term) -> str:
     """Printer of formulas and terms, inverse of parse and parse_term up to
-    whitespace: an infix application or connective in a context (at binding
-    strength prec) that binds more tightly is parenthesized."""
-    # f prints next, then its first operand, and then the stack: texts, and
-    # operands each above the strength it prints at.  A letter operand of a
-    # connective, and a variable left operand of an infix symbol or
-    # relation, print in place: that is most of the prover's letters.
-    out, todo = "", []
+    whitespace: an infix application or connective in a context that binds
+    more tightly is parenthesized."""
+    # f prints next, at strength prec, and then the stack: texts, and
+    # operands each above the strength it prints at
+    out, todo, prec = "", [], 0
     while True:
         t = type(f)
-        if (c := _PRINTED.get(t)) is not None:  # a connective
-            a, b = f.f1, f.f2
-            if t is Imp and type(b) is Bot:
-                if type(a) is PAtom:
-                    out += "~" + a.name
-                elif type(a) is Bot or is_negation(a):
-                    out += "~"
-                    f, prec = a, 0
-                    continue
-                else:
-                    out += "~("
-                    todo.append(")")
-                    f, prec = a, 0
-                    continue
-            else:
-                op, op_prec, left, right = c
-                if prec > op_prec:
-                    out += "("
-                    todo.append(")")
-                if type(a) is not PAtom:
-                    todo += (op + b.name,) if type(b) is PAtom else (right, b, op)
-                    f, prec = a, left
-                    continue
-                if type(b) is not PAtom:
-                    out += a.name + op
-                    f, prec = b, right
-                    continue
-                out += a.name + op + b.name
-        elif t in _NAMED:
+        if t in _NAMED:
             out += f.name
-        elif (t is Rel or t is App) and (c := _PRINTED.get(f.op)) is not None:
-            op, op_prec, left, right = c  # an infix symbol or a relation
+        elif t is Imp and type(f.f2) is Bot:
+            if type(f.f1) in _BARE or is_negation(f.f1):
+                out += "~"
+            else:
+                out += "~("
+                todo.append(")")
+            f, prec = f.f1, 0
+            continue
+        elif (c := _PRINTED.get(f.op if t is Rel or t is App else t)) is not None:
+            op, op_prec, left, right = c
             if prec > op_prec:
                 out += "("
                 todo.append(")")
             b, a = _PARTS[t][0](f)
-            if type(a) is Var:
-                out += a.name + op
-                f, prec = b, right
-            else:
-                todo += right, b, op
-                f, prec = a, left
+            todo += right, b, op
+            f, prec = a, left
             continue
-        elif t is Bot:
-            out += "bot"
         elif t is App:  # a prefix symbol; its arguments print at strength 0
             if not f.args:
                 out += f.op
@@ -546,6 +521,8 @@ def format_formula(f: Formula | Term, prec: int = 0) -> str:
                     todo += 0, a, ", "
                 f, prec = f.args[0], 0
                 continue
+        elif t is Bot:
+            out += "bot"
         elif t in _QUANTIFIER_OF:
             if prec > _QUANTIFIER_PREC:
                 out += "("
@@ -724,27 +701,20 @@ def collapse_atom_negations(f: Formula) -> Formula:
 
 
 def eval_term(t: Term, env: Mapping[str, int]) -> int:
-    # explicit arguments per arity: spreading them costs three times as much
     values, todo = [], [t]
     while todo:
         n = todo.pop()
         if type(n) is App:  # its symbol applies once its arguments are valued
-            s = _SIGNATURE[n.op]
-            if s.arity == 2:
-                todo += s, n.args[1], n.args[0]
-            elif s.arity:
-                todo += s, n.args[0]
-            else:
-                values.append(s.value())
+            todo.append(_SIGNATURE[n.op])
+            todo += _PARTS[App][0](n)
         elif type(n) is Var:
             if n.name not in env:
                 raise MissingAssignment(n.name)
             values.append(env[n.name])
-        elif n.arity == 2:
-            b = values.pop()
-            values[-1] = n.value(values[-1], b)
-        else:
-            values[-1] = n.value(values[-1])
+        else:  # a symbol, over the values of its arguments
+            args = values[len(values) - n.arity:]
+            del values[len(values) - n.arity:]
+            values.append(n.value(*args))
     return values[0]
 
 

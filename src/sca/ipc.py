@@ -148,31 +148,41 @@ def prove_ipc(s: Sequent | PropFormula) -> ProofResult:
     if not isinstance(s, Sequent):
         s = Sequent(frozenset(), s)
     cache: dict[Sequent, Trace | None] = {}
-    tr = _search(s.hypotheses, s.goal, cache)
+    texts: dict[int, tuple[PropFormula, str]] = {}  # see _printed
+    tr = _search(s.hypotheses, s.goal, cache, texts)
     return ProofResult(tr is not None, tr)
 
 
 def _search(hyps: frozenset, goal: PropFormula,
-            cache: dict[Sequent, "Trace | None"]) -> "Trace | None":
+            cache: dict[Sequent, "Trace | None"], texts: dict) -> "Trace | None":
     seq = Sequent(hyps, goal)
     if seq in cache:
         return cache[seq]
-    tr = cache[seq] = _step(seq, cache)
+    tr = cache[seq] = _step(seq, cache, texts)
     return tr
 
 
-def _apply(rule: str, seq: Sequent, p: PropFormula | None, cache) -> "Trace | None":
+def _apply(rule: str, seq: Sequent, p: PropFormula | None, cache, texts) -> "Trace | None":
     """Prove the premises of one step in order, stopping at the first failure."""
     kids = ()
     for premise in _PREMISES[rule]:
-        sub = _search(*premise(seq.hypotheses, seq.goal, p), cache)
+        sub = _search(*premise(seq.hypotheses, seq.goal, p), cache, texts)
         if sub is None:
             return None
         kids += (sub,)
     return Trace(rule, seq, p, kids)
 
 
-def _step(seq: Sequent, cache) -> "Trace | None":
+def _printed(h: PropFormula, texts: dict) -> str:
+    """h as printed, once per proof: texts holds each hypothesis's text by
+    identity, since hashing a formula recurses, and the hypothesis with it,
+    so that its id is not reused while the proof runs."""
+    if id(h) not in texts:
+        texts[id(h)] = h, format_prop(h)
+    return texts[id(h)][1]
+
+
+def _step(seq: Sequent, cache, texts) -> "Trace | None":
     hyps, goal = seq.hypotheses, seq.goal
     left = [(r, h) for h in hyps if (r := _left_rule(h, hyps, goal))]
     for closing in ("L-bot", "axiom"):  # the closing rules, L-bot first
@@ -183,15 +193,16 @@ def _step(seq: Sequent, cache) -> "Trace | None":
     # first, so that traces do not depend on the hash seed
     inv = [c for c in left if c[0] != "L-imp-imp"]
     if inv:
-        r, h = inv[0] if len(inv) == 1 else min(inv, key=lambda c: format_prop(c[1]))
-        return _apply(r, seq, h, cache)
+        r, h = inv[0] if len(inv) == 1 else min(inv, key=lambda c: _printed(c[1], texts))
+        return _apply(r, seq, h, cache, texts)
     # the invertible right rules, then the choice points
     for r in _RIGHT.get(type(goal), ()):
-        tr = _apply(r, seq, None, cache)
+        tr = _apply(r, seq, None, cache, texts)
         if tr is not None or r in ("R-and", "R-imp"):
             return tr
-    for h in sorted((h for r, h in left if r == "L-imp-imp"), key=format_prop):
-        tr = _apply("L-imp-imp", seq, h, cache)
+    for h in sorted((h for r, h in left if r == "L-imp-imp"),
+                    key=lambda h: _printed(h, texts)):
+        tr = _apply("L-imp-imp", seq, h, cache, texts)
         if tr is not None:
             return tr
     return None

@@ -123,12 +123,18 @@ class TestIpc:
         assert json.loads(out) == {"provable": False, "trace": None}
 
     def test_trace_stable_across_hash_seeds(self):
-        argv = ("--json", "ipc", "--trace",
-                "((p /\\ q) /\\ (r \\/ s)) -> ((q /\\ p) /\\ (s \\/ r))")
-        outs = {_module_run(*argv, PYTHONHASHSEED=str(seed)).stdout
-                for seed in range(4)}
-        assert len(outs) == 1
-        assert json.loads(outs.pop())["provable"] is True
+        for formula in (
+                "((p /\\ q) /\\ (r \\/ s)) -> ((q /\\ p) /\\ (s \\/ r))",
+                # two invertible left candidates, then two L-imp-imp
+                # candidates that both lead to a proof: each tie-break
+                # decides the trace
+                "(((p -> p) -> q) /\\ ((r -> r) -> q)) /\\ (s \\/ t) -> q /\\ (t \\/ s)",
+                "((p -> p) -> q) -> ((r -> r) -> q) -> q"):
+            argv = ("--json", "ipc", "--trace", formula)
+            outs = {_module_run(*argv, PYTHONHASHSEED=str(seed)).stdout
+                    for seed in range(4)}
+            assert len(outs) == 1
+            assert json.loads(outs.pop())["provable"] is True
 
     def test_json_trace_replays(self, capsys):
         code, out, _ = _run(capsys, "--json", "ipc", "--trace",

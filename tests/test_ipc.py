@@ -236,6 +236,24 @@ class TestProveIpc:
                 assert validate_trace(result.trace)
                 assert reference_validate(result.trace)
 
+    @given(props())
+    @settings(max_examples=300, deadline=None)
+    def test_each_hypothesis_prints_once_per_proof(self, f):
+        # the tie-breaks order candidates by their printed text: each
+        # hypothesis is printed at most once in a proof, and a second proof
+        # of the same formula prints everything again
+        printed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sca.ipc.format_prop", lambda h: printed.append(h) or format_prop(h))
+            for g in (f, PNot(PNot(f))):
+                counts = []
+                for _ in range(2):
+                    printed.clear()
+                    prove_ipc(g)
+                    assert len({id(h) for h in printed}) == len(printed)
+                    counts.append(len(printed))
+                assert counts[0] == counts[1]
+
 
 class TestValidateTrace:
     @given(props(depth=3))
