@@ -469,14 +469,16 @@ def verify_rulebase(rb: RuleBase) -> Report:
     from . import ipc  # only rule verification needs the prover
 
     statuses = []
-    counts = {ipc.VERIFIED: 0, ipc.FAILED: 0, ipc.NEEDS_FIRST_ORDER: 0}
+    proved: dict[str, str] = {}  # status by verify spec: many rules share one
     for rule in rb.rules:
-        try:
-            status = ipc.verify_rule(rule)
-        except ValueError as e:
-            raise ipc.MalformedSkeleton(f"rule {rule.rule_id}: {e}") from None
-        counts[status] += 1
-        statuses.append((rule.rule_id, status))
+        spec = json.dumps(rule.verify, sort_keys=True)
+        if spec not in proved:
+            try:
+                proved[spec] = ipc.verify_rule(rule)
+            except ValueError as e:
+                raise ipc.MalformedSkeleton(f"rule {rule.rule_id}: {e}") from None
+        statuses.append((rule.rule_id, proved[spec]))
+    counts = Counter(status for _, status in statuses)
     return Report(counts[ipc.VERIFIED], counts[ipc.FAILED],
                   counts[ipc.NEEDS_FIRST_ORDER], statuses)
 

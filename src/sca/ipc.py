@@ -12,8 +12,9 @@ The left-implication rule is split four ways on the shape of the
 antecedent (atomic / conjunctive / disjunctive / nested implication),
 which makes proof search terminate without a loop check.  Each rule is
 stated once, as the principal it takes (_left_rule, _RIGHT) and its
-premises (_PREMISES): the search only picks a rule and a principal, and
-validate_trace checks every step against the same statement.
+premises (_PREMISES).  At each sequent the search tries, in order, the
+steps that _choices lists; validate_trace checks every step against the
+same statement.
 """
 
 from __future__ import annotations
@@ -148,64 +149,61 @@ def prove_ipc(s: Sequent | PropFormula) -> ProofResult:
     if not isinstance(s, Sequent):
         s = Sequent(frozenset(), s)
     cache: dict[Sequent, Trace | None] = {}
-    texts: dict[int, tuple[PropFormula, str]] = {}  # see _printed
+    texts: dict[int, tuple[PropFormula, str]] = {}  # see _in_print_order
     tr = _search(s.hypotheses, s.goal, cache, texts)
     return ProofResult(tr is not None, tr)
 
 
 def _search(hyps: frozenset, goal: PropFormula,
             cache: dict[Sequent, "Trace | None"], texts: dict) -> "Trace | None":
+    """The first step _choices lists whose premises all prove, each
+    premise proved in order, or None; one frame per step of the proof."""
     seq = Sequent(hyps, goal)
     if seq in cache:
         return cache[seq]
-    tr = cache[seq] = _step(seq, cache, texts)
+    tr = None
+    for rule, p in _choices(hyps, goal, texts):
+        kids = ()
+        for premise in _PREMISES[rule]:
+            sub = _search(*premise(hyps, goal, p), cache, texts)
+            if sub is None:
+                break
+            kids += (sub,)
+        else:
+            tr = Trace(rule, seq, p, kids)
+            break
+    cache[seq] = tr
     return tr
 
 
-def _apply(rule: str, seq: Sequent, p: PropFormula | None, cache, texts) -> "Trace | None":
-    """Prove the premises of one step in order, stopping at the first failure."""
-    kids = ()
-    for premise in _PREMISES[rule]:
-        sub = _search(*premise(seq.hypotheses, seq.goal, p), cache, texts)
-        if sub is None:
-            return None
-        kids += (sub,)
-    return Trace(rule, seq, p, kids)
-
-
-def _printed(h: PropFormula, texts: dict) -> str:
-    """h as printed, once per proof: texts holds each hypothesis's text by
-    identity, since hashing a formula recurses, and the hypothesis with it,
-    so that its id is not reused while the proof runs."""
-    if id(h) not in texts:
-        texts[id(h)] = h, format_prop(h)
-    return texts[id(h)][1]
-
-
-def _step(seq: Sequent, cache, texts) -> "Trace | None":
-    hyps, goal = seq.hypotheses, seq.goal
+def _choices(hyps: frozenset, goal: PropFormula, texts: dict) -> list:
+    """The steps (rule, principal) the search tries at hyps |- goal, in
+    order.  A closing rule (L-bot before axiom), else an invertible left
+    rule, else R-and or R-imp, is the only step; otherwise the steps are
+    the right rules of a disjunction, then L-imp-imp on each candidate."""
     left = [(r, h) for h in hyps if (r := _left_rule(h, hyps, goal))]
-    for closing in ("L-bot", "axiom"):  # the closing rules, L-bot first
-        for r, h in left:
-            if r == closing:
-                return Trace(r, seq, h, ())
-    # an invertible left rule, on the applicable hypothesis that prints
-    # first, so that traces do not depend on the hash seed
-    inv = [c for c in left if c[0] != "L-imp-imp"]
-    if inv:
-        r, h = inv[0] if len(inv) == 1 else min(inv, key=lambda c: _printed(c[1], texts))
-        return _apply(r, seq, h, cache, texts)
-    # the invertible right rules, then the choice points
-    for r in _RIGHT.get(type(goal), ()):
-        tr = _apply(r, seq, None, cache, texts)
-        if tr is not None or r in ("R-and", "R-imp"):
-            return tr
-    for h in sorted((h for r, h in left if r == "L-imp-imp"),
-                    key=lambda h: _printed(h, texts)):
-        tr = _apply("L-imp-imp", seq, h, cache, texts)
-        if tr is not None:
-            return tr
-    return None
+    for closing in ("L-bot", "axiom"):
+        for step in left:
+            if step[0] == closing:
+                return [step]
+    invertible = [step for step in left if step[0] != "L-imp-imp"]
+    if invertible:
+        return _in_print_order(invertible, texts)[:1]
+    right = [(r, None) for r in _RIGHT.get(type(goal), ())]  # left: only L-imp-imp now
+    return right if len(right) == 1 else right + _in_print_order(left, texts)
+
+
+def _in_print_order(steps: list, texts: dict) -> list:
+    """Steps by their principal's printed text, so that traces do not
+    depend on the hash seed; a lone step prints nothing.  texts holds each
+    text once per proof, by identity since hashing a formula recurses,
+    with the formula, so that its id is not reused while the proof runs."""
+    if len(steps) < 2:
+        return steps
+    for _, h in steps:
+        if id(h) not in texts:
+            texts[id(h)] = h, format_prop(h)
+    return sorted(steps, key=lambda step: texts[id(step[1])][1])
 
 
 def validate_trace(tr: Trace) -> bool:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import strategies as st
 
@@ -11,6 +13,18 @@ from sca.formulas import (
     Proj0, Proj1, Succ, Term, Var, Zero, free_vars,
 )
 from sca.ipc import PAnd, PAtom, PBot, PImp, POr, PropFormula
+
+# hypothesis imports its patch writer, and with it libcst, only to report a
+# failing property; under -W error libcst's import-time DeprecationWarning
+# would turn that report into an INTERNALERROR that hides the falsifying
+# example.  So it is imported here, with that warning ignored for this
+# import only.  Without libcst there is nothing to import.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 VAR_POOL = ("x", "y", "z", "w")
 PROP_ATOMS = ("p", "q", "r", "s", "t")

@@ -399,7 +399,7 @@ class TestProcess:
         ["classify", "~" * 3000 + "(x = 0)"],
         ["ipc", "~" * 3000 + "p"],
         ["classify", "(" * 3000 + "x = 0" + ")" * 3000],
-        # the prover's search and its formulas' hashing recurse
+        # the prover's search, one frame per step, and its formulas' hashing recurse
         ["ipc", " /\\ ".join(f"p{i}" for i in range(1, 3001)) + " -> p0"],
         ["ipc", " -> ".join(["p"] * 3000)],
     ])
@@ -408,6 +408,19 @@ class TestProcess:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, answer", [
+        (["ipc"], "PROVABLE\n"),
+        (["--json", "ipc", "--trace"], '{\n  "provable": true,\n'),
+    ], ids=["text", "json"])
+    def test_four_hundred_link_chain_proves(self, argv, answer):
+        """p0 -> p1 -> ... -> p399 -> p0 takes 400 R-imp steps and an
+        axiom.  Run in a fresh interpreter: in process, pytest's own frames
+        use up the stack the search needs."""
+        chain = " -> ".join(f"p{i}" for i in range(400)) + " -> p0"
+        proc = _module_run(*argv, chain)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(answer)
 
     @pytest.mark.parametrize("text, answers", [c[1:] for c in _LONG], ids=[c[0] for c in _LONG])
     @pytest.mark.parametrize("command", ["classify", "relclassify", "merge", "dual"])

@@ -616,6 +616,19 @@ class TestVerifyRulebase:
         assert report.failed == 0
         assert report.verified >= 10
 
+    def test_each_distinct_spec_proved_once(self, rb):
+        # the shipped rules state few distinct skeletons with their lemmas:
+        # each is proved once, and every rule gets its own verify_rule status
+        from sca import ipc
+
+        proofs, prove = [], ipc.prove_ipc
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sca.ipc.prove_ipc", lambda s: proofs.append(s) or prove(s))
+            report = verify_rulebase(rb)
+        assert len(proofs) == len(set(proofs)) == 27
+        assert report.statuses == [(r.rule_id, ipc.verify_rule(r)) for r in rb.rules]
+        assert (report.verified, report.failed, report.needs_first_order) == (139, 0, 453)
+
     def test_failing_skeleton_reported(self):
         mini = _mini(rules=[{"id": "r1", "premises": ["LEM:S(k)"],
                              "conclusion": "DNE:S(k)", "cite": CITE,

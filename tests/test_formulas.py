@@ -478,7 +478,7 @@ SRC = pathlib.Path(formulas.__file__).parent
 RECURSIVE = {
     "formulas.py": {"_Parser.term", "_Parser.term_prim", "_Parser.formula",
                     "_Parser.unary", "_Parser.atom_formula", "eval_bounded"},
-    "ipc.py": {"_PropParser.unary", "_search", "_apply", "_step", "validate_trace"},
+    "ipc.py": {"_PropParser.unary", "_search", "validate_trace"},
     "hierarchy.py": set(),
 }
 

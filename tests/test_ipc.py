@@ -254,6 +254,15 @@ class TestProveIpc:
                     counts.append(len(printed))
                 assert counts[0] == counts[1]
 
+    def test_a_lone_candidate_prints_nothing(self):
+        # Peirce's law has one L-imp-imp candidate at each choice point,
+        # so nothing needs ordering and no formula is printed
+        printed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sca.ipc.format_prop", lambda h: printed.append(h) or format_prop(h))
+            assert not prove_ipc(parse_prop("((p -> q) -> p) -> p")).provable
+        assert printed == []
+
 
 class TestValidateTrace:
     @given(props(depth=3))
