@@ -4,7 +4,7 @@ Submodules:
 
 - formulas: first-order arithmetic AST, parser, printer, evaluation
 - hierarchy: quantifier-alternation classification and the Sigma/Pi
-  class lattice; re-exports the class-literal order from nodes
+  class lattice; re-exports ClassLit and class_lit_subset from nodes
 - duality: the prenex dual operator and its laws
 - nodes: principle catalog, node grammar (one parser, one printer) and
   the class-literal order (class_lit_subset, class_lit_covers)

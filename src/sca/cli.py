@@ -129,13 +129,14 @@ def _cmd_relclassify(args) -> int:
 def _cmd_instantiate(args) -> int:
     from . import principles
     from .formulas import format_formula, parse
+    from .nodes import Node
 
     pid, class_args = principles.parse_node(args.node)
     witnesses = [parse(w) for w in
                  (args.phi, args.psi, args.phi2, args.psi2) if w is not None]
     inst = principles.instantiate(pid, class_args, witnesses)
     rendered = format_formula(inst.rendered)
-    node = principles.node_of(pid, class_args)
+    node = str(Node(pid, class_args))
     _emit(args, {"node": node, "formula": rendered}, rendered)
     return 0
 
@@ -218,7 +219,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    from .derivability import TheoryContext, canonical_node, equivalence_class
+    from .derivability import TheoryContext, equivalence_class
+    from .nodes import canonical_node
 
     rb = _load_rulebase(args)
     ctx = TheoryContext.make((), args.kmax)

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping
 
 from .nodes import (
     FAMILIES, PLAIN, Node, NodePat, SchemaError, UnknownFamily,
-    canonical_node, class_lit_covers, parse_pattern,
+    class_lit_covers, parse_pattern,
 )
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "Derivable", "Separated", "Unknown", "Report",
     "SchemaError", "MissingCitation", "UnknownFamily", "LevelOutOfRange",
     "K_MAX_LIMIT",
-    "parse_pattern", "ground_pattern", "canonical_node", "node_level",
+    "parse_pattern", "ground_pattern",
     "load_rulebase", "closure", "query", "equivalence_class",
     "export_dot", "verify_rulebase",
 ]
@@ -67,10 +67,6 @@ def ground_pattern(pat: NodePat, k: int) -> str | None:
     below level 0 (the empty-class convention discards the instance)."""
     node = pat.at(k)
     return None if node is None else str(node)
-
-
-def node_level(node: str) -> int:
-    return Node.parse(node).level
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +418,7 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
                 "cite": dict(fact.cite),
             })
 
-    involved = {node_level(n) for n in ctx_with_goal}
+    involved = {Node.parse(n).level for n in ctx_with_goal}
     warning = any(abs(lvl - m) <= 2 for lvl in clamped for m in involved)
     return Unknown(bool(clamped) and warning)
 

@@ -40,9 +40,9 @@ __all__ = [
     "Exists", "Forall",
     "PAtom", "PropFormula",
     "Not", "Iff", "is_negation",
-    "parse", "parse_term", "format_formula", "format_term",
-    "free_vars", "term_vars", "all_names", "fresh_name",
-    "substitute", "substitute_term", "alpha_normal", "alpha_equal",
+    "parse", "parse_term", "format_formula",
+    "free_vars", "all_names", "fresh_name",
+    "substitute", "alpha_normal", "alpha_equal",
     "bounded_sugar", "collapse_atom_negations", "eval_bounded", "eval_term",
     "cantor_pair", "cantor_fst", "cantor_snd",
     "ParseError", "UnboundedQuantifier", "MissingAssignment",
@@ -548,9 +548,6 @@ def format_formula(f: Formula | Term) -> str:
             return out
 
 
-format_term = format_formula
-
-
 def bounded_sugar(f: Formula) -> tuple[Term, Formula] | None:
     """(bound, body) when f is a bounded quantifier in sugar form,
     E x. (x < t /\\ body) or A x. (x < t -> body) with x not free in t;
@@ -560,7 +557,7 @@ def bounded_sugar(f: Formula) -> tuple[Term, Formula] | None:
         g, x = f.body.f1, f.var
         if type(g) is Rel and g.op == "<" and g.t1 == Var(x) and (
                 # a variable bound, the commonest, is checked without a walk
-                g.t2.name != x if type(g.t2) is Var else x not in term_vars(g.t2)):
+                g.t2.name != x if type(g.t2) is Var else x not in all_names(g.t2)):
             return g.t2, f.body.f2
     return None
 
@@ -580,9 +577,6 @@ def all_names(f: Formula | Term) -> frozenset[str]:
                 names.add(n.var)
             todo += _PARTS[type(n)][0](n)
     return frozenset(names)
-
-
-term_vars = all_names  # a term's only names are its variables
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -651,7 +645,7 @@ def _substituted(q, env: Mapping[str, Term], images: frozenset[str]):
     if q.var in images:
         free = free_vars(q.body)
         env = {v: r for v, r in env.items() if v in free}  # the rest change nothing
-        images = frozenset().union(*map(term_vars, env.values()))
+        images = frozenset().union(*map(all_names, env.values()))
         if q.var in images:
             new = fresh_name(q.var, all_names(q.body).union(env, images))
             return new, {**env, q.var: Var(new)}, images | {new}
@@ -660,10 +654,7 @@ def _substituted(q, env: Mapping[str, Term], images: frozenset[str]):
 
 def substitute(f: Formula | Term, v: str, r: Term):
     """Capture-avoiding substitution of r for free occurrences of v."""
-    return _rename(f, {v: r}, term_vars(r), _substituted)
-
-
-substitute_term = substitute
+    return _rename(f, {v: r}, all_names(r), _substituted)
 
 
 def alpha_normal(f: Formula) -> Formula:

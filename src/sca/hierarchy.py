@@ -4,30 +4,30 @@ every formula, relative to a theory (relative_classify) or, for a prenex
 formula, over HA (classify_prenex).
 
 Class literals (ClassLit), their text syntax and their inclusion order
-(class_lit_subset, class_lit_covers) live in the nodes module and are
-re-exported here.
+live in the nodes module; ClassLit and class_lit_subset are re-exported
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 from .formulas import (
     _PARTS, _QUANTIFIER_OF, _QUANTIFIERS, Exists, Forall, Formula, Proj0,
-    Proj1, Rel, Var, all_names, bounded_sugar, format_formula, fresh_name,
-    is_negation, substitute,
+    Proj1, Rel, Var, _rename, _substituted, all_names, bounded_sugar,
+    format_formula, fresh_name, is_negation,
 )
 from .nodes import (
-    ClassLit, Node, canonical_node, class_lit_covers, class_lit_subset,
-    format_class_literal, parse_class_literal, principle,
+    ClassLit, Node, canonical_node, class_lit_subset, principle,
 )
 
 __all__ = [
     "HClass", "ClassLit", "NotPrenex", "Unclassifiable",
     "classify_prenex", "class_subset", "prenex_merge", "relative_classify",
-    "prenex_prefix", "parse_class_literal", "format_class_literal",
-    "class_lit_subset", "class_lit_covers",
+    "prenex_prefix", "class_lit_subset",
 ]
 
 SIGMA = "Sigma"
@@ -133,21 +133,30 @@ def prenex_merge(f: Formula) -> Formula:
             suffix[v], prefix[i] = n, (kind, f"{v}{n}")
             names.add(prefix[i][1])
         inner.add(prefix[i][1])
-    while True:
-        for i in range(len(prefix) - 1):
-            if prefix[i][0] == prefix[i + 1][0]:
-                break
-        else:
-            break
-        kind, x = prefix[i]
-        _, y = prefix[i + 1]
-        avoid = all_names(matrix) | {w for _, w in prefix}
-        u = fresh_name("u", avoid)
-        matrix = substitute(matrix, x, Proj0(Var(u)))
-        matrix = substitute(matrix, y, Proj1(Var(u)))
-        prefix[i: i + 2] = [(kind, u)]
-    out = matrix
-    for kind, v in reversed(prefix):
+    # Each run of like quantifiers folds from the left: the pair variable so
+    # far and the next variable y become a fresh u, named apart from the
+    # matrix and the prefix at that moment, which the two then leave.  The
+    # run's last variable is p1 of its final u, each one before it one p0
+    # further down, and the first p0 alone, applied once per merge.
+    env, merged = {}, []
+    for kind, run in groupby(prefix, key=itemgetter(0)):
+        (_, first), *rest = run
+        u = first
+        for _, y in rest:
+            w = fresh_name("u", names)
+            names -= {u, y}
+            names.add(w)
+            u = w
+        if rest:
+            t = Var(u)
+            for _, y in reversed(rest):
+                env[y] = Proj1(t)
+                t = Proj0(t)
+            env[first] = t
+        merged.append((kind, u))
+    # one simultaneous substitution; names holds every variable of env's images
+    out = _rename(matrix, env, names, _substituted) if env else matrix
+    for kind, v in reversed(merged):
         out = _QUANTIFIERS[kind][0](v, out)
     return out
 

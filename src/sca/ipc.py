@@ -30,7 +30,7 @@ from .formulas import Not as PNot, Or as POr, PAtom, PropFormula
 __all__ = [
     "PropFormula", "PAtom", "PBot", "PAnd", "POr", "PImp", "PNot",
     "Sequent", "Trace", "ProofResult",
-    "parse_prop", "format_prop", "prop_atoms",
+    "parse_prop", "format_prop",
     "prove_ipc", "prove_classical", "validate_trace",
     "skeletonize", "MalformedSkeleton",
     "verify_rule", "VERIFIED", "FAILED", "NEEDS_FIRST_ORDER",
@@ -66,8 +66,6 @@ def parse_prop(src: str) -> PropFormula:
 
 
 format_prop = fo.format_formula
-
-prop_atoms = fo.all_names  # a propositional formula's only names are its letters
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +223,7 @@ def validate_trace(tr: Trace) -> bool:
 
 def prove_classical(f: PropFormula) -> bool:
     """Truth-table validity."""
-    names = sorted(prop_atoms(f))
+    names = sorted(fo.all_names(f))
     return all(fo.eval_bounded(f, dict(zip(names, vals)))
                for vals in itertools.product((False, True), repeat=len(names)))
 
@@ -327,7 +325,7 @@ def verify_rule(rule) -> str:
         raise MalformedSkeleton("propositional rule without a skeleton")
     goal = parse_prop(skeleton)
     hyps = frozenset(_lemma_formula(l) for l in verify.get("lemmas", ()))
-    if len(prop_atoms(goal).union(*map(prop_atoms, hyps))) > _ATOM_BUDGET:
+    if len(fo.all_names(goal).union(*map(fo.all_names, hyps))) > _ATOM_BUDGET:
         raise MalformedSkeleton("skeleton exceeds the atom budget")
     result = prove_ipc(Sequent(hyps, goal))
     return VERIFIED if result.provable else FAILED

@@ -26,7 +26,7 @@ from .nodes import (
 __all__ = [
     "PrincipleId", "PrincipleInstance",
     "PLAIN", "DELTA_SIGMA", "DELTA_PI",
-    "catalog", "instantiate", "node_of", "parse_node",
+    "instantiate", "parse_node",
     "ClassMismatch", "SideConditionViolated", "ArityMismatch",
 ]
 
@@ -55,23 +55,13 @@ class PrincipleInstance:
 _CATALOG_IDS = frozenset(pid for pid, _ in CATALOG)
 
 
-def catalog() -> list[tuple[PrincipleId, str]]:
-    """The full fixed catalog of (id, schema description) pairs."""
-    return list(CATALOG)
-
-
 # ---------------------------------------------------------------------------
 # Node text
 
-def node_of(pid: PrincipleId, class_args: Sequence[ClassLit]) -> str:
-    """The derivability-graph node naming this principle at these classes,
-    with the arguments in the order given."""
-    return str(Node(pid, tuple(class_args)))
-
-
 def parse_node(text: str) -> tuple[PrincipleId, tuple[ClassLit, ...]]:
-    """Inverse of node_of; a single class argument on a binary de Morgan
-    family abbreviates the diagonal (both arguments equal)."""
+    """The schema and class arguments that node text names, in the order
+    written; a single class argument on a binary de Morgan family
+    abbreviates the diagonal (both arguments equal)."""
     node = Node.parse(text)
     return node.pid, node.args
 
@@ -102,7 +92,7 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
     """
     if pid not in _CATALOG_IDS:
         raise ArityMismatch(f"not in the catalog: {pid}")
-    node = node_of(pid, class_args)
+    node = str(Node(pid, tuple(class_args)))
 
     if pid.variant != PLAIN and class_args and class_args[0].kind != "D":
         raise ArityMismatch(

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from sca.derivability import (
     Derivable, Separated, TheoryContext, closure, equivalence_class,
-    export_dot, ground_pattern, load_default_rulebase, node_level, query,
+    export_dot, ground_pattern, load_default_rulebase, query,
     verify_rulebase,
 )
 from sca.duality import dual
 from sca.formulas import (
     alpha_equal, collapse_atom_negations, eval_bounded, free_vars, parse,
 )
-from sca.hierarchy import classify_prenex, parse_class_literal
+from sca.hierarchy import classify_prenex
 from sca.ipc import PNot, prove_classical, prove_ipc
+from sca.nodes import Node, parse_class_literal
 from sca.principles import PrincipleId, instantiate
 from tests.conftest import prenex_literal_matrix, props
 
@@ -136,7 +137,7 @@ def test_criterion_6_separation_soundness():
             unprov = ground_pattern(fact.unprovable, k)
             if any(g is None for g in ground) or unprov is None:
                 continue
-            k_max = max([node_level(n) for n in ground + [unprov]] + [1]) + 2
+            k_max = max([Node.parse(n).level for n in ground + [unprov]] + [1]) + 2
             got = closure(TheoryContext.make(ground, k_max), RB)
             assert unprov not in got, (fact.fact_id, k)
 

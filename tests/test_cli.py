@@ -258,6 +258,29 @@ class TestQueryClosure:
         assert payload["fact"] == "sep-dml-s1"
         assert set(payload["witness"]) == {"k", "theory", "unprovable", "cite"}
 
+    def test_query_unknown(self, capsys):
+        argv = ("query", "--base", "", "--goal", "CD:D1:nP1", "--kmax", "3")
+        assert _run(capsys, *argv) == (0, "UNKNOWN\n", "")
+        code, out, _ = _run(capsys, "--json", *argv)
+        assert code == 0
+        assert json.loads(out) == {"boundary_warning": False, "result": "UNKNOWN"}
+
+    def test_query_unknown_near_a_clamped_level(self, capsys, tmp_path):
+        """A rule that concludes above its premise's level is clamped at
+        the cap, and an UNKNOWN whose levels are near the clamp says so."""
+        rules = {"rules": [{"id": "r1", "premises": ["LEM:S(k)"],
+                            "conclusion": "DNE:S(k+1)",
+                            "cite": {"ref": "Fact 2.2", "quote": "q"}}]}
+        path = tmp_path / "one-rule.json"
+        path.write_text(json.dumps(rules))
+        argv = ("query", "--base", "LEM:S3", "--goal", "DML:S3", "--kmax", "3",
+                "--rulebase", str(path))
+        assert _run(capsys, *argv) == (
+            0, "UNKNOWN\n  (level cap may have interfered; raise --kmax)\n", "")
+        code, out, _ = _run(capsys, "--json", *argv)
+        assert code == 0
+        assert json.loads(out) == {"boundary_warning": True, "result": "UNKNOWN"}
+
     def test_closure_contains_goal(self, capsys):
         code, out, _ = _run(capsys, "closure", "--base", "LEM:P2,DNE:S2",
                             "--kmax", "4")
@@ -421,6 +444,17 @@ class TestProcess:
         proc = _module_run(*argv, chain)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith(answer)
+
+    def test_long_run_of_like_quantifiers_merges(self):
+        """Merging a run of n like quantifiers is one pass; the answer
+        has about n^2 characters (726,597 here), one projection path per
+        variable."""
+        n = 600
+        block = ("".join(f"E x{i}. " for i in range(n))
+                 + " /\\ ".join(f"x{i} = 0" for i in range(n)))
+        proc = _module_run("merge", block)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("E u. ")
 
     @pytest.mark.parametrize("text, answers", [c[1:] for c in _LONG], ids=[c[0] for c in _LONG])
     @pytest.mark.parametrize("command", ["classify", "relclassify", "merge", "dual"])

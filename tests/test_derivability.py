@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from sca.derivability import (
     K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation, SchemaError, Separated,
-    TheoryContext, Unknown, UnknownFamily, _program, canonical_node, closure,
+    TheoryContext, Unknown, UnknownFamily, _program, closure,
     equivalence_class, export_dot, load_default_rulebase, load_rulebase,
-    node_level, query, verify_rulebase,
+    query, verify_rulebase,
 )
 from sca.formulas import parse
 from sca.hierarchy import class_lit_subset, relative_classify
-from sca.nodes import CATALOG, FAMILIES, PLAIN, ClassLit, Node
+from sca.nodes import CATALOG, FAMILIES, PLAIN, ClassLit, Node, canonical_node
 
 CITE = {"ref": "Fact 2.2", "quote": "the following fact trivially holds"}
 
@@ -131,7 +131,7 @@ def _oracle_query(ctx, goal: str, rb, theory_closures: dict) -> tuple:
             if (concl is not None and concl.level > ctx.k_max and None not in prems
                     and {str(p) for p in prems} <= have):
                 clamped.add(concl.level)
-    involved = {node_level(n) for n in ctx.assumed | {goal}}
+    involved = {Node.parse(n).level for n in ctx.assumed | {goal}}
     return ("UNKNOWN", any(abs(c - m) <= 2 for c in clamped for m in involved))
 
 
@@ -327,8 +327,8 @@ class TestCanonicalNode:
         assert canonical_node("DML:P2:S1") == canonical_node("DML:S1:P2")
 
     def test_node_level(self):
-        assert node_level("DML:S1:P2") == 2
-        assert node_level("LEM:nnS3") == 3
+        assert Node.parse("DML:S1:P2").level == 2
+        assert Node.parse("LEM:nnS3").level == 3
 
 
 class TestClosure:
@@ -523,7 +523,7 @@ class TestQuery:
                        for c in "SP" for lvl in range(4)})
         outcomes = set()
         for k_max in range(1, 5):
-            nodes = [n for n in pool if node_level(n) <= k_max]
+            nodes = [n for n in pool if Node.parse(n).level <= k_max]
             for base in itertools.chain([()], itertools.combinations(nodes, 1),
                                         itertools.combinations(nodes[::3], 2)):
                 ctx = TheoryContext.make(base, k_max)
@@ -573,7 +573,7 @@ class TestQuery:
                 if fact.guard and not eval(  # noqa: S307 - trusted test data
                         fact.guard.replace("k", str(k))):
                     continue
-                k_max = max([node_level(n) for n in theory + [unprov]]) + 2
+                k_max = max([Node.parse(n).level for n in theory + [unprov]]) + 2
                 got = closure(TheoryContext.make(theory, k_max), rb)
                 assert unprov not in got, (fact.fact_id, k)
 
@@ -603,7 +603,7 @@ class TestEquivalenceClass:
         nodes."""
         k_max = data.draw(st.integers(3, 4))
         pool = _pool(rb)
-        node = data.draw(st.sampled_from([n for n in pool if node_level(n) <= k_max - 2]))
+        node = data.draw(st.sampled_from([n for n in pool if Node.parse(n).level <= k_max - 2]))
         base = TheoryContext.make(data.draw(st.sets(st.sampled_from(pool), max_size=2)), k_max)
         fwd = _oracle_closure(base.assumed | {node}, rb, k_max)
         want = {m for m in fwd if node in _oracle_closure(base.assumed | {m}, rb, k_max)}

@@ -15,8 +15,7 @@ from sca.formulas import (
     Not, Or, Pair, ParseError, Proj0, Proj1, Succ, UnboundedQuantifier, Var,
     Zero, alpha_equal, alpha_normal, all_names, bounded_sugar, cantor_fst,
     cantor_pair, cantor_snd, collapse_atom_negations, eval_bounded, eval_term,
-    format_formula, format_term, free_vars, parse, parse_term, substitute,
-    substitute_term, term_vars,
+    format_formula, free_vars, parse, parse_term, substitute,
 )
 from tests.conftest import bounded_sentences, prenex, qfree
 
@@ -93,7 +92,7 @@ class TestTerms:
     ])
     def test_symbol(self, src, printed, value):
         t = parse_term(src)
-        assert format_term(t) == printed
+        assert format_formula(t) == printed
         assert eval_term(t, ENV) == value
 
     @pytest.mark.parametrize("src, printed, tree", [
@@ -112,7 +111,7 @@ class TestTerms:
     def test_infix_associativity_and_parentheses(self, src, printed, tree):
         t = parse_term(src)
         assert t == tree
-        assert format_term(t) == printed
+        assert format_formula(t) == printed
         assert parse_term(printed) == t
 
     @pytest.mark.parametrize("src, message", [
@@ -425,7 +424,7 @@ class TestDepth:
         assert format_formula(collapse_atom_negations(f)) == collapsed
         skeleton = ipc.skeletonize(f)
         assert format_formula(skeleton) == text.replace(f"({X0})", "a").replace(X0, "a")
-        assert ipc.prop_atoms(skeleton) == {"a"}
+        assert all_names(skeleton) == {"a"}
         assert hierarchy._first_quantifier(f) is None
         assert str(hierarchy.relative_classify(f)) == "Sigma 0"
 
@@ -452,10 +451,10 @@ class TestDepth:
     ], ids=["S", "p0"])
     def test_terms(self, op, leaf, text, names, value):
         t = _deep_term(op, leaf)
-        assert format_term(t) == text
-        assert term_vars(t) == names
+        assert format_formula(t) == text
+        assert all_names(t) == names
         assert eval_term(t, {"x": 0}) == value
-        assert format_term(substitute_term(t, "x", Var("y"))) == text.replace("x", "y")
+        assert format_formula(substitute(t, "x", Var("y"))) == text.replace("x", "y")
         f = Eq(t, Var("w"))
         assert format_formula(f) == f"{text} = w"
         assert free_vars(f) == all_names(f) == names | {"w"}

@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 from sca import nodes
 from sca.derivability import TheoryContext, closure
 from sca.formulas import (
-    And, Exists, Forall, Imp, Lt, Not, Var, cantor_pair, eval_bounded, parse,
+    And, Exists, Forall, Imp, Lt, Not, Proj0, Proj1, Var, all_names, cantor_pair,
+    eval_bounded, format_formula, fresh_name, parse, substitute,
 )
 from sca.hierarchy import (
-    ClassLit, HClass, NotPrenex, Unclassifiable, class_lit_covers, class_lit_subset,
-    class_subset, classify_prenex, format_class_literal, parse_class_literal,
-    prenex_merge, prenex_prefix, relative_classify,
+    ClassLit, HClass, NotPrenex, Unclassifiable, class_lit_subset, class_subset,
+    classify_prenex, prenex_merge, prenex_prefix, relative_classify,
 )
-from sca.principles import catalog, node_of
+from sca.nodes import (
+    CATALOG, Node, class_lit_covers, format_class_literal, parse_class_literal,
+)
 from tests.conftest import VAR_POOL, prenex, qfree
 
 ALL_CLASSES = [HClass(p, k) for p in ("Sigma", "Pi") for k in range(7)]
@@ -141,6 +143,58 @@ class TestClassSubset:
         assert not class_subset(HClass("Pi", 2), HClass("Sigma", 2))
 
 
+def _pairwise_merge(f):
+    """The reference merge: rename outer duplicate binders, then merge the
+    leftmost pair of like quantifiers until none is left, substituting
+    p0 and p1 of a fresh u into the matrix at each merge."""
+    prefix, matrix = prenex_prefix(f)
+    names, inner, suffix = set(all_names(matrix)) | {v for _, v in prefix}, set(), {}
+    for i in range(len(prefix) - 1, -1, -1):
+        kind, v = prefix[i]
+        if v in inner:
+            n = suffix.get(v, 0)
+            while f"{v}{n}" in names:
+                n += 1
+            suffix[v], prefix[i] = n, (kind, f"{v}{n}")
+            names.add(prefix[i][1])
+        inner.add(prefix[i][1])
+    while True:
+        for i in range(len(prefix) - 1):
+            if prefix[i][0] == prefix[i + 1][0]:
+                break
+        else:
+            break
+        kind, x = prefix[i]
+        _, y = prefix[i + 1]
+        avoid = all_names(matrix) | {w for _, w in prefix}
+        u = fresh_name("u", avoid)
+        matrix = substitute(matrix, x, Proj0(Var(u)))
+        matrix = substitute(matrix, y, Proj1(Var(u)))
+        prefix[i: i + 2] = [(kind, u)]
+    out = matrix
+    for kind, v in reversed(prefix):
+        out = (Exists if kind == "E" else Forall)(v, out)
+    return out
+
+
+# Names that collide with the pair variables a merge makes, so that the
+# fresh names must step around the matrix's and the prefix's.
+_MERGE_NAMES = ("x", "y", "u", "u0", "u1", "u2")
+
+
+@st.composite
+def colliding_prenex(draw):
+    """A prefix of up to 9 quantifiers, binders repeated, over a
+    conjunction of relations between those names, 0, p0(u) and S(u0)."""
+    name = st.sampled_from(_MERGE_NAMES)
+    prefix = draw(st.lists(st.tuples(st.sampled_from("EA"), name), max_size=9))
+    term = st.one_of(name, st.sampled_from(["0", "p0(u)", "S(u0)"]))
+    atoms = draw(st.lists(st.tuples(term, st.sampled_from("=<"), term),
+                          min_size=1, max_size=3))
+    return parse("".join(f"{q} {v}. " for q, v in prefix)
+                 + " /\\ ".join(" ".join(a) for a in atoms))
+
+
 class TestPrenexMerge:
     def test_merges_exists_pair(self):
         f = parse("E x. E y. A z. (z < x + y)")
@@ -175,6 +229,15 @@ class TestPrenexMerge:
         prefix, _ = prenex_prefix(prenex_merge(f))
         for (a, _v), (b, _w) in zip(prefix, prefix[1:]):
             assert a != b
+
+    @given(colliding_prenex())
+    @settings(max_examples=400)
+    @example(parse("E u. A u0. A u. E x. E u. E y. E x. (u0 = p0(u) /\\ x < u1)"))
+    def test_agrees_with_the_pairwise_merge(self, f):
+        """One pass over the runs names and projects as merging the
+        leftmost like pair again and again does."""
+        assert format_formula(prenex_merge(f)) == format_formula(_pairwise_merge(f))
+
 
 
 class TestRelativeClassify:
@@ -233,7 +296,7 @@ class TestRelativeClassify:
 # Catalog nodes at levels <= 1, spelled in random ways: P0 for S0, the
 # diagonal sugar, and swapped arguments of the symmetric families.  DML
 # and DNE at Sigma levels are drawn often because the collapses use them.
-_PIDS = [pid for pid, _ in catalog()]
+_PIDS = [pid for pid, _ in CATALOG]
 _COLLAPSE_PIDS = [pid for pid in _PIDS
                   if pid.family in ("DML", "DNE") and pid.variant == "Plain"]
 
@@ -252,9 +315,9 @@ def spelled_nodes(draw):
             if c.kind != "D" and c.level == 0 else c for c in lits]
     if pid.family in ("DML", "DMLBOT", "DNEOR") and draw(st.booleans()):
         lits.reverse()
-    text = node_of(pid, lits)
+    text = str(Node(pid, tuple(lits)))
     if len(lits) == 2 and lits[0] == lits[1] and draw(st.booleans()):
-        text = node_of(pid, lits[:1] * 2).rsplit(":", 1)[0]
+        text = str(Node(pid, tuple(lits[:1] * 2))).rsplit(":", 1)[0]
     return text
 
 
@@ -344,4 +407,3 @@ class TestClassLiterals:
     def test_order_is_the_one_in_nodes(self):
         """hierarchy re-exports the order that the engine reads from nodes."""
         assert class_lit_subset is nodes.class_lit_subset
-        assert class_lit_covers is nodes.class_lit_covers

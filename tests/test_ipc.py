@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sca.formulas import (
-    And, Bot, Eq, Exists, Forall, Imp, Lt, Not, Or, Var, alpha_equal,
+    And, Bot, Eq, Exists, Forall, Imp, Lt, Not, Or, Var, all_names, alpha_equal,
     alpha_normal, parse, substitute,
 )
 from sca.ipc import (
     FAILED, NEEDS_FIRST_ORDER, VERIFIED, MalformedSkeleton, PAnd, PAtom, PBot,
-    PImp, PNot, POr, Sequent, Trace, format_prop, parse_prop, prop_atoms,
+    PImp, PNot, POr, Sequent, Trace, format_prop, parse_prop,
     prove_classical, prove_ipc, skeletonize, validate_trace, verify_rule,
 )
 from tests.conftest import props
@@ -65,7 +65,7 @@ def _forces(w, f, rel, val):
 
 def kripke_countermodel(f, max_worlds: int = 3) -> bool:
     """True iff some Kripke model with at most max_worlds worlds refutes f."""
-    names = tuple(sorted(prop_atoms(f)))
+    names = tuple(sorted(all_names(f)))
     for n in range(1, max_worlds + 1):
         for rel in _frames(n):
             for val in _valuations(n, names, rel):
@@ -391,22 +391,22 @@ class TestSkeletonize:
         sk = skeletonize(parse("(E x. (x = 0)) \\/ ~(E x. (x = 0))"))
         assert format_prop(sk) == format_prop(
             parse_prop(format_prop(sk)))
-        atoms = prop_atoms(sk)
+        atoms = all_names(sk)
         assert len(atoms) == 1
 
     def test_distinct_quantified_subformulas(self):
         sk = skeletonize(parse("(A x. ~(x = 0)) -> ~(E x. (x = 0))"))
-        assert len(prop_atoms(sk)) == 2
+        assert len(all_names(sk)) == 2
         assert isinstance(sk, PImp)
 
     def test_atom_abstraction(self):
         sk = skeletonize(parse("((x = 0) -> bot) -> bot"))
-        assert len(prop_atoms(sk)) == 1
+        assert len(all_names(sk)) == 1
         assert format_prop(sk) == "~~a"
 
     def test_alpha_invariance(self):
         a = skeletonize(parse("(E x. (x = 0)) \\/ ~(E y. (y = 0))"))
-        assert len(prop_atoms(a)) == 1
+        assert len(all_names(a)) == 1
 
     def test_bound_names_never_meet_free_ones(self):
         # a free variable spelled like a renamed bound one stays distinct

@@ -9,17 +9,17 @@ import pytest
 from sca.formulas import (
     And, Exists, Forall, Imp, Var, format_formula, parse,
 )
-from sca.hierarchy import parse_class_literal
+from sca.nodes import CATALOG, Node, parse_class_literal
 from sca.principles import (
     ArityMismatch, ClassMismatch, PrincipleId, SideConditionViolated,
-    catalog, instantiate, node_of, parse_node,
+    instantiate, parse_node,
 )
 
 PLAIN, DSI, DPI = "Plain", "DeltaSigma", "DeltaPi"
 
 
 def _lits(*texts):
-    return [parse_class_literal(t) for t in texts]
+    return tuple(parse_class_literal(t) for t in texts)
 
 
 def sigma_witness(k: int, matrix: str = "v0 = u"):
@@ -41,17 +41,17 @@ def pi_witness(k: int, matrix: str = "v0 = u"):
 
 class TestCatalog:
     def test_contains_coll_plain(self):
-        assert any(pid == PrincipleId("COLL", PLAIN, 1) for pid, _ in catalog())
+        assert any(pid == PrincipleId("COLL", PLAIN, 1) for pid, _ in CATALOG)
 
     def test_contains_peirce_plain(self):
-        assert any(pid == PrincipleId("PEIRCE", PLAIN, 1) for pid, _ in catalog())
+        assert any(pid == PrincipleId("PEIRCE", PLAIN, 1) for pid, _ in CATALOG)
 
     def test_no_coll_delta_variant(self):
         assert not any(pid.family == "COLL" and pid.variant != PLAIN
-                       for pid, _ in catalog())
+                       for pid, _ in CATALOG)
 
     def test_delta_variants_where_defined(self):
-        variants = {(pid.family, pid.variant) for pid, _ in catalog()}
+        variants = {(pid.family, pid.variant) for pid, _ in CATALOG}
         for fam in ("LEM", "DUAL", "WDUAL", "DMLBOT"):
             assert (fam, DSI) in variants and (fam, DPI) in variants
         for fam in ("DNE", "DNS", "DML", "CD", "LN", "PEIRCE", "LEMBOT",
@@ -59,14 +59,14 @@ class TestCatalog:
             assert (fam, DSI) not in variants and (fam, DPI) not in variants
 
     def test_size(self):
-        assert len(catalog()) == 21
+        assert len(CATALOG) == 21
 
     def test_plain_descriptions_are_the_instances(self):
         """Each plain description that takes no dual, read in the formula
         grammar with atomic witnesses for phi, psi and phi(y) and without
         its side condition, is the instance at S0."""
         checked = 0
-        for pid, desc in catalog():
+        for pid, desc in CATALOG:
             if pid.variant != PLAIN or "dual(" in desc:
                 continue
             text, _, side = desc.partition(", with ")
@@ -82,31 +82,31 @@ class TestCatalog:
 
 class TestNodeOf:
     def test_dne(self):
-        assert node_of(PrincipleId("DNE", PLAIN, 1), _lits("S1")) == "DNE:S1"
+        assert str(Node(PrincipleId("DNE", PLAIN, 1), _lits("S1"))) == "DNE:S1"
 
     def test_dml_two_args(self):
-        assert node_of(PrincipleId("DML", PLAIN, 2), _lits("S2", "P2")) == "DML:S2:P2"
+        assert str(Node(PrincipleId("DML", PLAIN, 2), _lits("S2", "P2"))) == "DML:S2:P2"
 
     def test_dneor(self):
-        assert node_of(PrincipleId("DNEOR", PLAIN, 2),
-                       _lits("P3", "P3")) == "DNEOR:P3:P3"
+        assert str(Node(PrincipleId("DNEOR", PLAIN, 2),
+                        _lits("P3", "P3"))) == "DNEOR:P3:P3"
 
     def test_delta_pi_tag(self):
-        assert node_of(PrincipleId("LEM", DPI, 1), _lits("D1")) == "LEM:DPI:D1"
+        assert str(Node(PrincipleId("LEM", DPI, 1), _lits("D1"))) == "LEM:DPI:D1"
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
-            node_of(PrincipleId("DML", PLAIN, 2), _lits("S2"))
+            str(Node(PrincipleId("DML", PLAIN, 2), _lits("S2")))
 
     def test_parse_node_roundtrip(self):
         for text in ["DNE:S1", "DML:S2:P2", "LEM:DPI:D1", "LEMBOT:P1",
                      "DMLBOT:S2:S2", "CD:P1:P1", "LEM:nS2"]:
             pid, args = parse_node(text)
-            assert node_of(pid, args) == text
+            assert str(Node(pid, args)) == text
 
     def test_parse_node_diagonal_sugar(self):
         pid, args = parse_node("DMLBOT:S2")
-        assert node_of(pid, args) == "DMLBOT:S2:S2"
+        assert str(Node(pid, args)) == "DMLBOT:S2:S2"
 
 
 A_SIGMA, A_PI = "E y. (y = a)", "A y. (a < y)"
@@ -185,7 +185,7 @@ class TestInstantiate:
         assert "x" in free_vars(inst.rendered)
 
     def test_delta_variant_premise_outermost(self):
-        for pid, _desc in catalog():
+        for pid, _desc in CATALOG:
             if pid.variant == PLAIN:
                 continue
             args = _lits(*(["D1"] * pid.arity))
@@ -234,7 +234,7 @@ class TestInstantiate:
         assert body.startswith("~(E")
 
     def test_total_on_catalog_up_to_level3(self):
-        for pid, _desc in catalog():
+        for pid, _desc in CATALOG:
             for k in range(4):
                 if pid.variant == PLAIN:
                     args = _lits(*([f"S{k}"] * pid.arity))
