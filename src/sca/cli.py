@@ -157,8 +157,7 @@ def _cmd_ipc(args) -> int:
 
 
 def _cmd_verify_rules(args) -> int:
-    from .derivability import verify_rulebase
-    from .ipc import FAILED
+    from .derivability import FAILED, verify_rulebase
 
     rb = _load_rulebase(args)
     report = verify_rulebase(rb)

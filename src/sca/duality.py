@@ -3,7 +3,7 @@ quantifier-free matrix.  The dual is classically equivalent to the
 negation; dual_law_instances states two of the laws relating the two as
 concrete formula instances.  Rule verification does not use them: its
 lemma hypotheses state the dual laws over propositional letters
-(sca.ipc).
+(sca.derivability).
 """
 
 from __future__ import annotations

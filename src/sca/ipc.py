@@ -1,8 +1,8 @@
 """Decision procedure for intuitionistic propositional logic in G4ip, the
 contraction-free sequent calculus of Dyckhoff (J. Symbolic Logic 57(3),
 1992), with replayable derivation traces, a classical truth-table
-checker, propositional skeleton extraction for first-order formulas, and
-hybrid verification of rule-base implications.
+checker, and propositional skeleton extraction for first-order formulas.
+sca.derivability verifies the rule base's propositional rules with it.
 
 Propositional formulas are sca.formulas formulas over bot and letters
 (PAtom); this module shares that module's classes, printer, parser and
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import formulas as fo
 from .formulas import And as PAnd, Bot as PBot, Formula, Imp as PImp
@@ -33,7 +32,6 @@ __all__ = [
     "parse_prop", "format_prop",
     "prove_ipc", "prove_classical", "validate_trace",
     "skeletonize", "MalformedSkeleton",
-    "verify_rule", "VERIFIED", "FAILED", "NEEDS_FIRST_ORDER",
 ]
 
 
@@ -269,63 +267,3 @@ def skeletonize(f: Formula) -> PropFormula:
                 atoms[key] = _ATOM_NAMES[len(atoms)]
             out.append(PAtom(atoms[key]))
     return out[0]
-
-
-# ---------------------------------------------------------------------------
-# Rule verification
-
-VERIFIED = "Verified"
-FAILED = "Failed"
-NEEDS_FIRST_ORDER = "NeedsFirstOrder"
-
-
-def _lemma_formula(lemma: Mapping[str, str]) -> PropFormula:
-    """The trusted hypothesis a lemma names.  The only shapes admitted are
-    the dual laws (dual implies negation; a formula and its dual are
-    inconsistent; the double dual is equivalent to the formula) and an
-    assumed class equivalence premise.  Each field a law names must be a
-    string, the letter it stands for."""
-    law = lemma.get("law")
-
-    def letter(name: str) -> PAtom:
-        value = lemma.get(name)
-        if not isinstance(value, str):
-            raise MalformedSkeleton(f"lemma {law!r} needs a string {name!r}, not {value!r}")
-        return PAtom(value)
-
-    if law == "dual-imp-neg":
-        return PImp(letter("dual"), PNot(letter("phi")))
-    if law == "dual-disjoint":
-        return PNot(PAnd(letter("phi"), letter("dual")))
-    if law == "dual-involution":
-        a, dd = letter("phi"), letter("ddual")
-        return PAnd(PImp(dd, a), PImp(a, dd))
-    if law == "delta-premise":
-        a, b = letter("lhs"), letter("rhs")
-        return PAnd(PImp(a, b), PImp(b, a))
-    raise MalformedSkeleton(f"unknown lemma law: {law!r}")
-
-
-def verify_rule(rule) -> str:
-    """Hybrid verification of one rule.
-
-    For a rule marked propositional: parse its declared skeleton, add its
-    trusted lemma hypotheses (only the dual laws and equivalence premises
-    are admitted), and decide with prove_ipc.  For a rule marked
-    first-order, return NeedsFirstOrder without attempting anything.
-    """
-    verify = rule["verify"] if isinstance(rule, Mapping) else rule.verify
-    kind = verify.get("kind")
-    if kind == "first-order":
-        return NEEDS_FIRST_ORDER
-    if kind != "propositional":
-        raise MalformedSkeleton(f"unknown verification kind: {kind!r}")
-    skeleton = verify.get("skeleton")
-    if not skeleton:
-        raise MalformedSkeleton("propositional rule without a skeleton")
-    goal = parse_prop(skeleton)
-    hyps = frozenset(_lemma_formula(l) for l in verify.get("lemmas", ()))
-    if len(fo.all_names(goal).union(*map(fo.all_names, hyps))) > _ATOM_BUDGET:
-        raise MalformedSkeleton("skeleton exceeds the atom budget")
-    result = prove_ipc(Sequent(hyps, goal))
-    return VERIFIED if result.provable else FAILED

@@ -169,8 +169,6 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
         body = Imp(Not(dual(side)), Not(Not(side)))
     elif fam == "LEMBOT":
         body = Or(s, dual(s))
-    else:
-        raise ArityMismatch(f"unknown family: {fam}")
 
     rendered = Imp(reduce(And, premises), body) if premises else body
     return PrincipleInstance(pid, tuple(class_args), tuple(witnesses), rendered)

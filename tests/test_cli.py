@@ -156,6 +156,15 @@ class TestIpc:
         assert not validate_trace(_trace_from_json(root))
 
 
+# lemmas that load_rulebase rejects: a letter that is bot or not an
+# identifier, and a law that is not admitted
+BAD_LEMMAS = (
+    {"law": "dual-imp-neg", "phi": "bot", "dual": "b"},
+    {"law": "delta-premise", "lhs": "a b", "rhs": "c"},
+    {"law": "dual-disjoint", "phi": "a", "dual": "b"},
+)
+
+
 class TestVerifyRules:
     def test_shipped_clean(self, capsys):
         code, out, _ = _run(capsys, "verify-rules")
@@ -180,6 +189,11 @@ class TestVerifyRules:
         ({"rules": [], "separations": [{"id": "s1", "theory": [],
                                         "cite": {"ref": "Fact 2.2", "quote": "q"}}]},
          "separation s1"),
+        *(({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
+                       "cite": {"ref": "Fact 2.2", "quote": "q"},
+                       "verify": {"kind": "propositional", "skeleton": "a",
+                                  "lemmas": [lemma]}}]}, "rule r1")
+          for lemma in BAD_LEMMAS),
     ])
     def test_malformed_entry_named(self, capsys, tmp_path, data, named):
         path = tmp_path / "bad.json"
@@ -187,6 +201,7 @@ class TestVerifyRules:
         code, _, err = _run(capsys, "closure", "--base", "", "--kmax", "1",
                             "--rulebase", str(path))
         assert code == 1 and named in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("data, named", [
         ({"rules": [{"id": "r1", "conclusion": 1}]}, "rule r1"),
@@ -213,6 +228,15 @@ class TestVerifyRules:
                      "verify": {"kind": "propositional", "skeleton": "a",
                                 "lemmas": [{"law": "dual-imp-neg", "phi": 1,
                                             "dual": "b"}]}}]}, "rule r1"),
+        *(({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
+                       "verify": {"kind": "propositional", "skeleton": "a",
+                                  "lemmas": [lemma]}}]}, "rule r1")
+          for lemma in BAD_LEMMAS),
+        # skeletons that load but that the prover cannot take
+        *(({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
+                       "verify": {"kind": "propositional", "skeleton": skeleton}}]},
+           "rule r1")
+          for skeleton in ("a ->", " -> ".join("abcdefghijklm"))),
     ])
     def test_malformed_field_named(self, tmp_path, data, named):
         for entry in data["rules"] + data.get("separations", []):

@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sca.derivability import (
-    K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation, SchemaError, Separated,
-    TheoryContext, Unknown, UnknownFamily, _program, closure,
+    K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation, RuleBase, SchemaError,
+    Separated, TheoryContext, Unknown, UnknownFamily, _program, closure,
     equivalence_class, export_dot, load_default_rulebase, load_rulebase,
     query, verify_rulebase,
 )
@@ -618,7 +618,7 @@ class TestVerifyRulebase:
 
     def test_each_distinct_spec_proved_once(self, rb):
         # the shipped rules state few distinct skeletons with their lemmas:
-        # each is proved once, and every rule gets its own verify_rule status
+        # each is proved once, and every rule gets the status it has alone
         from sca import ipc
 
         proofs, prove = [], ipc.prove_ipc
@@ -626,7 +626,8 @@ class TestVerifyRulebase:
             mp.setattr("sca.ipc.prove_ipc", lambda s: proofs.append(s) or prove(s))
             report = verify_rulebase(rb)
         assert len(proofs) == len(set(proofs)) == 27
-        assert report.statuses == [(r.rule_id, ipc.verify_rule(r)) for r in rb.rules]
+        assert report.statuses == [
+            verify_rulebase(RuleBase((r,), (), frozenset())).statuses[0] for r in rb.rules]
         assert (report.verified, report.failed, report.needs_first_order) == (139, 0, 453)
 
     def test_failing_skeleton_reported(self):
@@ -640,6 +641,12 @@ class TestVerifyRulebase:
     def test_empty_rule_base(self):
         report = verify_rulebase(_mini())
         assert (report.verified, report.failed, report.needs_first_order) == (0, 0, 0)
+
+    def test_admitted_laws_are_those_the_shipped_rules_use(self, rb):
+        from sca.derivability import _LAWS
+
+        used = {m["law"] for r in rb.rules for m in r.verify.get("lemmas", ())}
+        assert set(_LAWS) == used == {"dual-imp-neg", "delta-premise"}
 
 
 class TestExportDot:
@@ -724,3 +731,26 @@ class TestExportDot:
                 assert {src, dst} <= nodes
                 ctx = TheoryContext.make({*base, src}, k + 2)
                 assert isinstance(query(ctx, dst, rb), Derivable), (k, src, dst, base)
+
+    @pytest.mark.parametrize("preset, least", [("abhk", 1), ("dns", 1), ("cd", 2)])
+    def test_no_edge_implied_by_the_others(self, preset, least):
+        """No drawn edge is implied by a path of the other edges drawn over
+        the same or a smaller base: the solid edges and those of its own
+        style."""
+        for k in range(least, 5):
+            by_style: dict[str, set] = {"solid": set()}
+            for line in export_dot(preset, k).splitlines():
+                if " -> " in line:
+                    style = line.split("style=")[1].split()[0] if "style=" in line else "solid"
+                    by_style.setdefault(style, set()).add(tuple(line.split('"')[1:4:2]))
+            for style, edges in by_style.items():
+                for edge in edges:
+                    others = (by_style["solid"] | edges) - {edge}
+                    reached, todo = set(), [edge[0]]
+                    while todo:
+                        n = todo.pop()
+                        for src, dst in others:
+                            if src == n and dst not in reached:
+                                reached.add(dst)
+                                todo.append(dst)
+                    assert edge[1] not in reached, (k, style, edge)

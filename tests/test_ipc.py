@@ -1,7 +1,7 @@
 """The intuitionistic decision procedure: examples, trace replay against
 a reference replay and on mutated traces, the Glivenko oracle, an
 exhaustive small-Kripke-frame countermodel oracle, skeleton extraction,
-and hybrid rule verification."""
+and rule verification through the rule base."""
 
 from __future__ import annotations
 
@@ -12,14 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sca.derivability import (
+    FAILED, NEEDS_FIRST_ORDER, VERIFIED, SchemaError, load_rulebase, verify_rulebase,
+)
 from sca.formulas import (
     And, Bot, Eq, Exists, Forall, Imp, Lt, Not, Or, Var, all_names, alpha_equal,
     alpha_normal, parse, substitute,
 )
 from sca.ipc import (
-    FAILED, NEEDS_FIRST_ORDER, VERIFIED, MalformedSkeleton, PAnd, PAtom, PBot,
-    PImp, PNot, POr, Sequent, Trace, format_prop, parse_prop,
-    prove_classical, prove_ipc, skeletonize, validate_trace, verify_rule,
+    PAnd, PAtom, PBot, PImp, PNot, POr, Sequent, Trace, format_prop,
+    parse_prop, prove_classical, prove_ipc, skeletonize, validate_trace,
 )
 from tests.conftest import props
 
@@ -415,36 +417,42 @@ class TestSkeletonize:
         assert not prove_ipc(sk).provable
 
 
+def one_rule(verify):
+    """A loaded rule base of one rule, which has this verify spec."""
+    return load_rulebase({"rules": [{"id": "r1", "conclusion": "DNE:S(k)", "verify": verify,
+                                     "cite": {"ref": "Fact 2.2", "quote": "q"}}]})
+
+
+def status_of(verify):
+    return verify_rulebase(one_rule(verify)).statuses[0][1]
+
+
 class TestVerifyRule:
     def test_first_order_untouched(self):
-        rule = {"verify": {"kind": "first-order"}}
-        assert verify_rule(rule) == NEEDS_FIRST_ORDER
+        assert status_of({"kind": "first-order"}) == NEEDS_FIRST_ORDER
 
     def test_propositional_verified(self):
-        rule = {"verify": {"kind": "propositional",
-                           "skeleton": "(a \\/ ~a) -> (~~a -> a)"}}
-        assert verify_rule(rule) == VERIFIED
+        verify = {"kind": "propositional", "skeleton": "(a \\/ ~a) -> (~~a -> a)"}
+        assert status_of(verify) == VERIFIED
 
     def test_propositional_failed(self):
-        rule = {"verify": {"kind": "propositional", "skeleton": "a -> b"}}
-        assert verify_rule(rule) == FAILED
+        assert status_of({"kind": "propositional", "skeleton": "a -> b"}) == FAILED
 
     def test_dual_lemma_rule_verified(self):
-        rule = {"verify": {"kind": "propositional",
-                           "skeleton": "(a \\/ da) -> (~~a -> a)",
-                           "lemmas": [{"law": "dual-imp-neg",
-                                       "phi": "a", "dual": "da"}]}}
-        assert verify_rule(rule) == VERIFIED
+        verify = {"kind": "propositional",
+                  "skeleton": "(a \\/ da) -> (~~a -> a)",
+                  "lemmas": [{"law": "dual-imp-neg", "phi": "a", "dual": "da"}]}
+        assert status_of(verify) == VERIFIED
 
     def test_missing_skeleton(self):
-        with pytest.raises(MalformedSkeleton):
-            verify_rule({"verify": {"kind": "propositional"}})
+        with pytest.raises(SchemaError):
+            one_rule({"kind": "propositional"})
 
     def test_unknown_kind(self):
-        with pytest.raises(MalformedSkeleton):
-            verify_rule({"verify": {"kind": "semantic"}})
+        with pytest.raises(SchemaError):
+            one_rule({"kind": "semantic"})
 
     def test_unknown_lemma_law(self):
-        with pytest.raises(MalformedSkeleton):
-            verify_rule({"verify": {"kind": "propositional", "skeleton": "a",
-                                    "lemmas": [{"law": "frobnicate"}]}})
+        with pytest.raises(SchemaError):
+            one_rule({"kind": "propositional", "skeleton": "a",
+                      "lemmas": [{"law": "frobnicate"}]})

@@ -15,13 +15,9 @@ import sys
 
 RULES = []
 SEPARATIONS = []
-_SEEN = set()
 
 
 def R(rid, premises, conclusion, ref, quote, guard=None, verify=None):
-    if rid in _SEEN:
-        raise SystemExit(f"duplicate rule id {rid}")
-    _SEEN.add(rid)
     rule = {
         "id": rid,
         "premises": list(premises),
@@ -35,9 +31,6 @@ def R(rid, premises, conclusion, ref, quote, guard=None, verify=None):
 
 
 def S(fid, theory, unprovable, ref, quote, guard=None):
-    if fid in _SEEN:
-        raise SystemExit(f"duplicate id {fid}")
-    _SEEN.add(fid)
     fact = {
         "id": fid,
         "theory": list(theory),
@@ -859,10 +852,10 @@ def main():
     out = root / "src" / "sca" / "data" / "rulebase.json"
     text = render()
     sys.path.insert(0, str(root / "src"))
-    from sca import derivability, ipc
+    from sca import derivability
     rb = derivability.load_rulebase(text)
     report = derivability.verify_rulebase(rb)
-    bad = [rid for rid, st in report.statuses if st == ipc.FAILED]
+    bad = [rid for rid, st in report.statuses if st == derivability.FAILED]
     if bad:
         raise SystemExit(f"skeleton verification failed for: {bad}")
     out.parent.mkdir(parents=True, exist_ok=True)
