@@ -33,9 +33,9 @@ import random
 import re
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
+from . import Record
 from .nodes import (
     FAMILIES, PLAIN, Node, NodePat, SchemaError, UnknownFamily,
     class_lit_covers, parse_pattern,
@@ -77,35 +77,33 @@ def ground_pattern(pat: NodePat, k: int) -> str | None:
 # ---------------------------------------------------------------------------
 # Rule base
 
-@dataclass(frozen=True, slots=True)
-class Rule:
-    rule_id: str
-    premises: tuple[NodePat, ...]
-    conclusion: NodePat
-    guard: str | None
-    cite: Mapping[str, str]
-    verify: Mapping
+class Rule(Record):
+    """A level-parametric rule: premises, conclusion and guard as written,
+    its citation and its verify spec."""
+
+    __slots__ = ("rule_id", "premises", "conclusion", "guard", "cite", "verify")
 
 
-@dataclass(frozen=True, slots=True)
-class SeparationFact:
-    fact_id: str
-    theory: tuple[NodePat, ...]
-    unprovable: NodePat
-    guard: str | None
-    cite: Mapping[str, str]
+class SeparationFact(Record):
+    """A cited underivability: over the theory, the unprovable node is not
+    derivable, at each level the guard admits."""
+
+    __slots__ = ("fact_id", "theory", "unprovable", "guard", "cite")
 
 
-@dataclass
-class RuleBase:
-    rules: tuple[Rule, ...]
-    separations: tuple[SeparationFact, ...]
-    inclusions: frozenset[str]
-    # memos, outside __init__ so that printers that list the init fields
-    # (hypothesis, printing a test's arguments) skip them
-    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _covers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class RuleBase(Record):
+    """The rules, separation facts and monotone families.  The engine's
+    memos (_level, _program, _cover_steps) are private slots, so equality
+    and repr, and printers that use repr (hypothesis, printing a test's
+    arguments), skip them."""
+
+    __slots__ = ("rules", "separations", "inclusions", "_levels", "_programs", "_covers")
+
+    def __init__(self, rules: tuple[Rule, ...], separations: tuple[SeparationFact, ...],
+                 inclusions: frozenset[str]):
+        super().__init__(rules, separations, inclusions)
+        for set_memo in self._setters[len(self._fields):]:
+            set_memo(self, {})
 
 
 _GUARD_RE = re.compile(r"^k(>=|==)(\d+)$")
@@ -217,44 +215,40 @@ def load_default_rulebase() -> RuleBase:
 # ---------------------------------------------------------------------------
 # Contexts and results
 
-@dataclass(frozen=True)
-class TheoryContext:
-    assumed: frozenset[str]
-    k_max: int
+class TheoryContext(Record):
+    __slots__ = ("assumed", "k_max")
 
-    def __post_init__(self):
+    def __init__(self, assumed: frozenset[str], k_max: int):
         """Check the level cap, spell the assumed nodes canonically and
         check their levels."""
-        if self.k_max < 0:
-            raise LevelOutOfRange(f"k_max={self.k_max} is below the bound 0")
-        if self.k_max > K_MAX_LIMIT:
+        if k_max < 0:
+            raise LevelOutOfRange(f"k_max={k_max} is below the bound 0")
+        if k_max > K_MAX_LIMIT:
             raise LevelOutOfRange(
-                f"k_max={self.k_max} exceeds the limit {K_MAX_LIMIT}")
-        canon = {Node.parse(n).canonical() for n in self.assumed}
+                f"k_max={k_max} exceeds the limit {K_MAX_LIMIT}")
+        canon = {Node.parse(n).canonical() for n in assumed}
         for n in canon:
-            if n.level > self.k_max:
-                raise LevelOutOfRange(f"{n} exceeds k_max={self.k_max}")
-        object.__setattr__(self, "assumed", frozenset(map(str, canon)))
+            if n.level > k_max:
+                raise LevelOutOfRange(f"{n} exceeds k_max={k_max}")
+        set_assumed, set_k_max = self._setters
+        set_assumed(self, frozenset(map(str, canon)))
+        set_k_max(self, k_max)
 
     @staticmethod
     def make(nodes: Iterable[str], k_max: int) -> "TheoryContext":
         return TheoryContext(frozenset(nodes), k_max)
 
 
-@dataclass
-class Derivable:
-    chain: list  # (rule_id, premises tuple, conclusion)
+class Derivable(Record):
+    __slots__ = ("chain",)  # a list of (rule_id, premises tuple, conclusion)
 
 
-@dataclass
-class Separated:
-    fact_id: str
-    witness: dict
+class Separated(Record):
+    __slots__ = ("fact_id", "witness")  # witness: a dict of the fact's ground instance
 
 
-@dataclass
-class Unknown:
-    boundary_warning: bool
+class Unknown(Record):
+    __slots__ = ("boundary_warning",)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +475,10 @@ FAILED = "Failed"
 NEEDS_FIRST_ORDER = "NeedsFirstOrder"
 
 
-@dataclass
-class Report:
-    verified: int
-    failed: int
-    needs_first_order: int
-    statuses: list
+class Report(Record):
+    """The status counts of a rule base and (rule id, status) per rule."""
+
+    __slots__ = ("verified", "failed", "needs_first_order", "statuses")
 
 
 def _status(rule: Rule) -> str:

@@ -23,6 +23,9 @@ prefix terms, quantifiers inside connectives) recurse.
 Propositional formulas are the same connectives over bot and propositional
 letters (PAtom); the printer and the bounded evaluator handle letters, and
 sca.ipc parses them with a subclass of this module's parser.
+
+Every term and formula is an sca.HashedRecord: immutable, and hashed once,
+when it is built, so that hashing one costs O(1) at any depth.
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, NamedTuple, Union
+
+from . import HashedRecord
 
 __all__ = [
     "Term", "Var", "App", "Zero", "Succ", "Add", "Mul", "Pair", "Proj0",
@@ -71,27 +75,47 @@ class MissingAssignment(KeyError):
 # ---------------------------------------------------------------------------
 # Terms and atoms
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class _Named(HashedRecord):
+    """A variable's or a propositional letter's name."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_name, set_hash = self._setters
+        set_name(self, name)
+        set_hash(self, hash((name,)))
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+class Var(_Named):
+    __slots__ = ()
+
+
+class App(HashedRecord):
     """A function symbol of _SIGNATURE applied to its arguments."""
-    op: str
-    args: tuple["Term", ...]
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: tuple["Term", ...]):
+        set_op, set_args, set_hash = self._setters
+        set_op(self, op)
+        set_args(self, args)
+        set_hash(self, hash((op, args)))
 
 
 Term = Union[Var, App]
 
 
-@dataclass(frozen=True, slots=True)
-class Rel:
+class Rel(HashedRecord):
     """A relation symbol of _RELATIONS between two terms."""
-    op: str
-    t1: Term
-    t2: Term
+
+    __slots__ = ("op", "t1", "t2")
+
+    def __init__(self, op: str, t1: Term, t2: Term):
+        set_op, set_t1, set_t2, set_hash = self._setters
+        set_op(self, op)
+        set_t1(self, t1)
+        set_t2(self, t2)
+        set_hash(self, hash((op, t1, t2)))
 
 
 def Zero() -> Term:
@@ -133,45 +157,62 @@ def Lt(a: Term, b: Term) -> Rel:
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True, slots=True)
-class Bot:
-    pass
+class Bot(HashedRecord):
+    __slots__ = ()
+
+    def __init__(self):
+        (set_hash,) = self._setters
+        set_hash(self, hash(()))
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    f1: "Formula"
-    f2: "Formula"
+class _Binary(HashedRecord):
+    """A connective's two operands."""
+
+    __slots__ = ("f1", "f2")
+
+    def __init__(self, f1: "Formula", f2: "Formula"):
+        set_f1, set_f2, set_hash = self._setters
+        set_f1(self, f1)
+        set_f2(self, f2)
+        set_hash(self, hash((f1, f2)))
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    f1: "Formula"
-    f2: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Imp:
-    f1: "Formula"
-    f2: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Imp(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Forall:
-    var: str
-    body: "Formula"
+class _Bound(HashedRecord):
+    """A quantifier's variable and body."""
+
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: "Formula"):
+        set_var, set_body, set_hash = self._setters
+        set_var(self, var)
+        set_body(self, body)
+        set_hash(self, hash((var, body)))
 
 
-@dataclass(frozen=True, slots=True)
-class PAtom:
+class Exists(_Bound):
+    __slots__ = ()
+
+
+class Forall(_Bound):
+    __slots__ = ()
+
+
+class PAtom(_Named):
     """A propositional letter: an atom of propositional formulas only."""
-    name: str
+
+    __slots__ = ()
 
 
 Formula = Union[Rel, Bot, And, Or, Imp, Exists, Forall]
@@ -555,7 +596,7 @@ def bounded_sugar(f: Formula) -> tuple[Term, Formula] | None:
     q = _QUANTIFIER_OF.get(type(f))
     if q is not None and isinstance(f.body, q[1]):
         g, x = f.body.f1, f.var
-        if type(g) is Rel and g.op == "<" and g.t1 == Var(x) and (
+        if type(g) is Rel and g.op == "<" and type(g.t1) is Var and g.t1.name == x and (
                 # a variable bound, the commonest, is checked without a walk
                 g.t2.name != x if type(g.t2) is Var else x not in all_names(g.t2)):
             return g.t2, f.body.f2

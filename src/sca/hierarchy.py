@@ -10,11 +10,11 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
+from . import Record
 from .formulas import (
     _PARTS, _QUANTIFIER_OF, _QUANTIFIERS, Exists, Forall, Formula, Proj0,
     Proj1, Rel, Var, _rename, _substituted, all_names, bounded_sugar,
@@ -51,16 +51,19 @@ class Unclassifiable(ValueError):
         self.sub = sub
 
 
-@dataclass(frozen=True, slots=True)
-class HClass:
+class HClass(Record):
     """A position in the arithmetical hierarchy: Sigma(k) or Pi(k).
 
     Sigma(0) and Pi(0) both denote the quantifier-free class; Sigma(0) is
     the canonical form.
     """
 
-    polarity: str
-    level: int
+    __slots__ = ("polarity", "level")
+
+    def __init__(self, polarity: str, level: int):
+        set_polarity, set_level = self._setters
+        set_polarity(self, polarity)
+        set_level(self, level)
 
     def canonical(self) -> "HClass":
         if self.level == 0:

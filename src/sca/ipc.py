@@ -20,8 +20,8 @@ same statement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from . import HashedRecord, Record
 from . import formulas as fo
 from .formulas import And as PAnd, Bot as PBot, Formula, Imp as PImp
 from .formulas import Not as PNot, Or as POr, PAtom, PropFormula
@@ -69,28 +69,37 @@ format_prop = fo.format_formula
 # ---------------------------------------------------------------------------
 # Sequents and traces
 
-@dataclass(frozen=True, slots=True)
-class Sequent:
-    hypotheses: frozenset
-    goal: PropFormula
+class Sequent(HashedRecord):
+    __slots__ = ("hypotheses", "goal")
+
+    def __init__(self, hypotheses: frozenset, goal: PropFormula):
+        set_hypotheses, set_goal, set_hash = self._setters
+        set_hypotheses(self, hypotheses)
+        set_goal(self, goal)
+        set_hash(self, hash((hypotheses, goal)))
 
     def __str__(self) -> str:
         hs = ", ".join(sorted(format_prop(h) for h in self.hypotheses))
         return f"{hs} |- {format_prop(self.goal)}" if hs else f"|- {format_prop(self.goal)}"
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
-    rule: str
-    sequent: Sequent
-    principal: PropFormula | None
-    children: tuple["Trace", ...]
+class Trace(Record):
+    """A proof step: its rule, conclusion, principal (None for a right
+    rule) and the traces of its premises."""
+
+    __slots__ = ("rule", "sequent", "principal", "children")
+
+    def __init__(self, rule: str, sequent: Sequent, principal: PropFormula | None,
+                 children: tuple["Trace", ...]):
+        set_rule, set_sequent, set_principal, set_children = self._setters
+        set_rule(self, rule)
+        set_sequent(self, sequent)
+        set_principal(self, principal)
+        set_children(self, children)
 
 
-@dataclass(frozen=True, slots=True)
-class ProofResult:
-    provable: bool
-    trace: Trace | None
+class ProofResult(Record):
+    __slots__ = ("provable", "trace")
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +154,7 @@ def prove_ipc(s: Sequent | PropFormula) -> ProofResult:
     if not isinstance(s, Sequent):
         s = Sequent(frozenset(), s)
     cache: dict[Sequent, Trace | None] = {}
-    texts: dict[int, tuple[PropFormula, str]] = {}  # see _in_print_order
+    texts: dict[PropFormula, str] = {}  # see _in_print_order
     tr = _search(s.hypotheses, s.goal, cache, texts)
     return ProofResult(tr is not None, tr)
 
@@ -191,15 +200,14 @@ def _choices(hyps: frozenset, goal: PropFormula, texts: dict) -> list:
 
 def _in_print_order(steps: list, texts: dict) -> list:
     """Steps by their principal's printed text, so that traces do not
-    depend on the hash seed; a lone step prints nothing.  texts holds each
-    text once per proof, by identity since hashing a formula recurses,
-    with the formula, so that its id is not reused while the proof runs."""
+    depend on the hash seed; a lone step prints nothing.  texts holds the
+    text of each formula once per proof."""
     if len(steps) < 2:
         return steps
     for _, h in steps:
-        if id(h) not in texts:
-            texts[id(h)] = h, format_prop(h)
-    return sorted(steps, key=lambda step: texts[id(step[1])][1])
+        if h not in texts:
+            texts[h] = format_prop(h)
+    return sorted(steps, key=lambda step: texts[step[1]])
 
 
 def validate_trace(tr: Trace) -> bool:
@@ -246,7 +254,8 @@ def skeletonize(f: Formula) -> PropFormula:
     the original formula is intuitionistically valid (uniform
     substitution).
     """
-    # atoms by their printed alpha-normal form: hashing a deep formula recurses
+    # atoms by their printed alpha-normal form: the equality of two deep
+    # formulas recurses
     atoms: dict[str, str] = {}
     out, todo = [], [f]
     while todo:

@@ -9,10 +9,10 @@ node text syntax are defined in the nodes module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
+from . import Record
 from .duality import dual
 from .formulas import (
     And, Exists, Forall, Formula, Iff, Imp, Lt, Not, Or, Var, free_vars,
@@ -44,12 +44,11 @@ class SideConditionViolated(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class PrincipleInstance:
-    id: PrincipleId
-    class_args: tuple[ClassLit, ...]
-    witnesses: tuple[Formula, ...]
-    rendered: Formula
+class PrincipleInstance(Record):
+    """A schema's instance: the schema, its class arguments, the witness
+    formulas and the formula they render."""
+
+    __slots__ = ("id", "class_args", "witnesses", "rendered")
 
 
 _CATALOG_IDS = frozenset(pid for pid, _ in CATALOG)

@@ -432,21 +432,26 @@ class TestProcess:
                              ids=[a[1] if a[0] == "--json" else a[0] for a, _ in _LOADED])
     def test_subcommand_loads_only_its_modules(self, tmp_path, argv, loaded):
         """A cold process imports only the modules its subcommand runs:
-        a module imported for nothing costs every process its compile."""
+        a module imported for nothing costs every process its compile.
+        No subcommand loads dataclasses or inspect, whose imports cost
+        more than most of the package's own modules."""
         argv = [str(tmp_path / "fig.dot") if a == "OUT" else a for a in argv]
         proc = _python("-c", "import sys\n"
                        "from sca.cli import run\n"
                        f"code = run({argv!r})\n"
+                       "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
                        "print(code, *sorted(m for m in sys.modules if m.startswith('sca.')))")
-        code, *modules = proc.stdout.splitlines()[-1].split()
+        *_, unwanted, last = proc.stdout.splitlines()
+        code, *modules = last.split()
         assert code == ("2" if argv == ["frobnicate"] else "0"), proc.stderr
         assert modules == sorted(f"sca.{m}" for m in loaded)
+        assert unwanted == "[]"
 
     @pytest.mark.parametrize("argv", [
         ["classify", "~" * 3000 + "(x = 0)"],
         ["ipc", "~" * 3000 + "p"],
         ["classify", "(" * 3000 + "x = 0" + ")" * 3000],
-        # the prover's search, one frame per step, and its formulas' hashing recurse
+        # the prover's search takes one frame per step of the proof
         ["ipc", " /\\ ".join(f"p{i}" for i in range(1, 3001)) + " -> p0"],
         ["ipc", " -> ".join(["p"] * 3000)],
     ])
@@ -469,6 +474,14 @@ class TestProcess:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith(answer)
 
+    def test_nine_hundred_link_chain_proves(self):
+        """Hashing a formula costs no recursion, so the search's one frame
+        per step is the only limit: about 980 links in a fresh
+        interpreter, 493 when hashing recursed."""
+        chain = " -> ".join(f"p{i}" for i in range(900)) + " -> p0"
+        proc = _module_run("ipc", chain)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "PROVABLE\n", "")
+
     def test_long_run_of_like_quantifiers_merges(self):
         """Merging a run of n like quantifiers is one pass; the answer
         has about n^2 characters (726,597 here), one projection path per
@@ -487,7 +500,7 @@ class TestProcess:
         parses into a left-nested And, a 3000-long -> chain into a
         right-nested Imp, and a prefix of 3000 quantifiers into as many
         nested quantifiers; every command answers them.  The output text
-        is compared, not formulas: dataclass equality recurses."""
+        is compared, not formulas: the equality of formulas recurses."""
         theory = ["--theory", "DNE:S1"] if command == "relclassify" else []
         code, out, err = _run(capsys, command, text, *theory)
         assert (code, err) == (0, "")

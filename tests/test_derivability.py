@@ -17,7 +17,7 @@ from sca.derivability import (
     K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation, RuleBase, SchemaError,
     Separated, TheoryContext, Unknown, UnknownFamily, _program, closure,
     equivalence_class, export_dot, load_default_rulebase, load_rulebase,
-    query, verify_rulebase,
+    parse_pattern, query, verify_rulebase,
 )
 from sca.formulas import parse
 from sca.hierarchy import class_lit_subset, relative_classify
@@ -248,8 +248,10 @@ class TestLoadRulebase:
         for ctx, goal in queries[1:]:
             query(ctx, goal, rb)
         covered = set(rb._covers)
-        assert set(vars(rb)) == {"rules", "separations", "inclusions", "_levels", "_programs",
-                                 "_covers"}
+        # a slotted record holds its slots and nothing else
+        assert not hasattr(rb, "__dict__")
+        assert set(rb.__slots__) == {"rules", "separations", "inclusions", "_levels", "_programs",
+                                     "_covers"}
         assert list(rb._programs) == [3]
         assert sorted(rb._levels) == [0, 1, 2, 3]
         assert [len(part) for part in rb._programs[3]] == sizes
@@ -263,14 +265,15 @@ class TestLoadRulebase:
         """Node text comes from requests: serving more distinct texts than
         the node-text memos hold leaves each at its bound.  Contexts
         rejected for their level fill Node.parse, relative classifications
-        canonical_node."""
+        canonical_node, and rule bases read from files parse_pattern."""
         served = 40_000
         f = parse("x = 0")
         for n in range(4, 4 + served):
             with pytest.raises(LevelOutOfRange):
                 TheoryContext.make([f"LEM:S{n}"], 3)
             relative_classify(f, [f"DNE:P{n}"])
-        for memo in (Node.parse, canonical_node):
+            parse_pattern(f"DML:S(k+{n})")
+        for memo in (Node.parse, canonical_node, parse_pattern):
             info = memo.cache_info()
             assert info.currsize < served and info.currsize == info.maxsize
 
@@ -279,6 +282,18 @@ class TestLoadRulebase:
         tool = runpy.run_path(str(root / "tools" / "make_rulebase.py"))
         shipped = (root / "src" / "sca" / "data" / "rulebase.json").read_bytes()
         assert tool["render"]().encode("utf-8") == shipped
+
+    def test_generator_exits_in_one_line_on_a_schema_error(self):
+        """A rule base that does not load stops the generator with a
+        one-line message, before it writes anything."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        tool = runpy.run_path(str(root / "tools" / "make_rulebase.py"))
+        tool["RULES"].append(dict(tool["RULES"][0]))  # main reads this list
+        with pytest.raises(SystemExit) as exit_:
+            tool["main"]()
+        message = str(exit_.value)
+        assert message.startswith("the rule base does not load: missing or duplicate rule id")
+        assert "\n" not in message
 
 
 class TestGroundProgram:

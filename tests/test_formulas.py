@@ -1,4 +1,5 @@
-"""Formula AST, parser, printer, substitution, pairing, evaluation."""
+"""Formula AST, parser, printer, substitution, pairing, evaluation, and the
+records of the package: formulas and every other record class."""
 
 from __future__ import annotations
 
@@ -9,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sca import formulas, hierarchy, ipc
+from sca import HashedRecord, Record, derivability, formulas, hierarchy, ipc, nodes, principles
 from sca.formulas import (
     Add, And, Bot, Eq, Exists, Forall, Iff, Imp, Lt, MissingAssignment, Mul,
-    Not, Or, Pair, ParseError, Proj0, Proj1, Succ, UnboundedQuantifier, Var,
+    Not, Or, PAtom, Pair, ParseError, Proj0, Proj1, Succ, UnboundedQuantifier, Var,
     Zero, alpha_equal, alpha_normal, all_names, bounded_sugar, cantor_fst,
     cantor_pair, cantor_snd, collapse_atom_negations, eval_bounded, eval_term,
     format_formula, free_vars, parse, parse_term, substitute,
@@ -367,8 +368,9 @@ class TestAlphaEqual:
 # ---------------------------------------------------------------------------
 # Depth: formulas and terms ten times deeper than the recursion limit,
 # built with the constructors (the parser's nesting stays limited), through
-# every walker.  Printed text is compared, never formulas: dataclass
-# equality and hashing recurse.
+# every walker.  Printed text is compared, never formulas: the equality of
+# two formulas built apart recurses (hashing does not: a formula stores its
+# hash).
 
 DEEP = 10_000
 X0 = "x = 0"
@@ -415,6 +417,7 @@ class TestDepth:
     def test_quantifier_free(self, shape):
         f, text = shape()
         one = text.replace("x", "S(0)")
+        assert hash(f) == hash((f.f1, f.f2)) and f in {f}  # the stored hash
         assert format_formula(f) == text
         assert free_vars(f) == all_names(f) == {"x"}
         assert format_formula(substitute(f, "x", Succ(Zero()))) == one
@@ -473,7 +476,7 @@ SRC = pathlib.Path(formulas.__file__).parent
 
 # the parser's parentheses, ~ and term nesting; eval_bounded, which
 # short-circuits and raises MissingAssignment only on the branch it takes;
-# and the prover's search and trace replay, whose formulas' hashing recurses too
+# and the prover's search and trace replay, one frame per step of the proof
 RECURSIVE = {
     "formulas.py": {"_Parser.term", "_Parser.term_prim", "_Parser.formula",
                     "_Parser.unary", "_Parser.atom_formula", "eval_bounded"},
@@ -539,3 +542,111 @@ def test_only_the_listed_functions_recurse(module):
     function fails here until it is listed, or made a walk."""
     tree = ast.parse((SRC / module).read_text())
     assert _recursive_functions(tree) == RECURSIVE[module]
+
+
+# ---------------------------------------------------------------------------
+# Records: every record class of the package, built from sample fields
+
+_P, _X = PAtom("p"), Var("x")
+_LIT = nodes.ClassLit(0, "S", 1)
+_PID = nodes.PrincipleId("LEM", nodes.PLAIN, 1)
+_PAT = nodes.NodePat("LEM:S(k)")
+_SEQ = ipc.Sequent(frozenset({_P}), _P)
+_CITE = {"ref": "Fact 2.2", "quote": "q"}
+_RULE = derivability.Rule("r1", (_PAT,), _PAT, None, _CITE, {"kind": "first-order"})
+_FACT = derivability.SeparationFact("s1", (_PAT,), _PAT, "k>=1", _CITE)
+
+RECORDS = [
+    (Var, ("x",)),
+    (PAtom, ("p",)),
+    (formulas.App, ("S", (_X,))),
+    (formulas.Rel, ("=", _X, _X)),
+    (Bot, ()),
+    (And, (_P, Bot())),
+    (Or, (_P, Bot())),
+    (Imp, (_P, Bot())),
+    (Exists, ("x", Eq(_X, _X))),
+    (Forall, ("x", Eq(_X, _X))),
+    (ipc.Sequent, (frozenset({_P}), _P)),
+    (ipc.Trace, ("axiom", _SEQ, _P, ())),
+    (ipc.ProofResult, (True, ipc.Trace("axiom", _SEQ, _P, ()))),
+    (nodes.PrincipleId, ("LEM", nodes.PLAIN, 1)),
+    (nodes.ClassLit, (0, "S", 1)),
+    (nodes.Node, (_PID, (_LIT,))),
+    (nodes.NodePat, ("LEM:S(k)",)),
+    (hierarchy.HClass, ("Sigma", 1)),
+    (principles.PrincipleInstance, (_PID, (_LIT,), (Eq(_X, _X),), Eq(_X, _X))),
+    (derivability.Rule, ("r1", (_PAT,), _PAT, None, _CITE, {"kind": "first-order"})),
+    (derivability.SeparationFact, ("s1", (_PAT,), _PAT, "k>=1", _CITE)),
+    (derivability.RuleBase, ((_RULE,), (_FACT,), frozenset({"LEM"}))),
+    (derivability.TheoryContext, (frozenset({"LEM:S1"}), 3)),
+    (derivability.Derivable, ([("r1", ("LEM:S1",), "DNE:S1")],)),
+    (derivability.Separated, ("s1", {"k": 1})),
+    (derivability.Unknown, (True,)),
+    (derivability.Report, (1, 0, 0, [("r1", "Verified")])),
+]
+
+
+def test_every_record_class_is_sampled():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    public = {c for c in subclasses(Record) if c.__module__.startswith("sca.")
+              and not c.__name__.startswith("_") and c is not HashedRecord}
+    assert public == {cls for cls, _values in RECORDS}
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+class TestRecords:
+    def test_hash_is_that_of_the_field_tuple(self, cls, values):
+        # so that a set of records iterates as the set of their tuples would
+        record = cls(*values)
+        assert record._values(record) == values
+        try:
+            want = hash(values)
+        except TypeError:  # a dict or list field: the record is not hashable either
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == want
+
+    def test_equal_when_built_apart_and_of_one_class(self, cls, values):
+        assert cls(*values) == cls(*values)
+        twin = type(cls.__name__, (Record,), {"__slots__": cls._fields})
+        assert cls(*values) != twin(*values)
+
+    def test_keywords_and_repr(self, cls, values):
+        fields = dict(zip(cls._fields, values))
+        record = cls(**fields)
+        assert record == cls(*values)
+        assert repr(record) == "{}({})".format(
+            cls.__name__, ", ".join(f"{name}={value!r}" for name, value in fields.items()))
+
+    def test_fields_cannot_be_assigned(self, cls, values):
+        record = cls(*values)
+        for name in cls._fields + (("_hash",) if issubclass(cls, HashedRecord) else ()):
+            old = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is old
+
+
+def test_like_records_of_different_classes_differ():
+    assert len({And(_P, _P), Or(_P, _P), Imp(_P, _P)}) == 3
+    assert Var("p") != PAtom("p") and Exists("x", Bot()) != Forall("x", Bot())
+    assert derivability.Unknown(False) != derivability.Separated("s1", {})
+
+
+def test_construction_checks_its_arguments():
+    with pytest.raises(TypeError):
+        derivability.Unknown()
+    with pytest.raises(TypeError):
+        derivability.Unknown(True, boundary_warning=True)
+    with pytest.raises(TypeError):
+        derivability.Unknown(warning=True)
+    with pytest.raises(TypeError):
+        derivability.Report(1, 0, 0, [], None)

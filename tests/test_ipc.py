@@ -6,7 +6,6 @@ and rule verification through the rule base."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +153,11 @@ def _steps(tr: Trace, path: tuple = ()):
     yield path, tr
     for i, child in enumerate(tr.children):
         yield from _steps(child, path + (i,))
+
+
+def replace(step: Trace, **changes) -> Trace:
+    """The step with the given fields changed."""
+    return Trace(**{name: changes.get(name, getattr(step, name)) for name in Trace._fields})
 
 
 def _replace_at(tr: Trace, path: tuple, step: Trace) -> Trace:

@@ -853,7 +853,10 @@ def main():
     text = render()
     sys.path.insert(0, str(root / "src"))
     from sca import derivability
-    rb = derivability.load_rulebase(text)
+    try:
+        rb = derivability.load_rulebase(text)
+    except derivability.SchemaError as e:
+        raise SystemExit(f"the rule base does not load: {e}") from None
     report = derivability.verify_rulebase(rb)
     bad = [rid for rid, st in report.statuses if st == derivability.FAILED]
     if bad:
