@@ -13,7 +13,6 @@ defaults to the shipped file and can be overridden per invocation with
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -25,6 +24,8 @@ __all__ = ["run", "main"]
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
+        import json  # only --json prints it, and its import costs a cold process
+
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -67,10 +68,15 @@ def _chain_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _trace_text(tr: ipc.Trace, depth: int = 0) -> str:
-    lines = [f"{'  ' * depth}{tr.rule}: {tr.sequent}"]
-    for child in tr.children:
-        lines.append(_trace_text(child, depth + 1))
+def _trace_text(tr: ipc.Trace) -> str:
+    """The trace's steps in pre-order, one line each, indented by depth;
+    walked with an explicit stack, since a trace is as deep as its proof."""
+    lines = []
+    todo = [(tr, 0)]
+    while todo:
+        tr, depth = todo.pop()
+        lines.append(f"{'  ' * depth}{tr.rule}: {tr.sequent}")
+        todo.extend((child, depth + 1) for child in reversed(tr.children))
     return "\n".join(lines)
 
 
@@ -145,14 +151,16 @@ def _cmd_ipc(args) -> int:
     from .ipc import parse_prop, prove_ipc
 
     result = prove_ipc(parse_prop(args.formula))
-    verdict = "PROVABLE" if result.provable else "UNPROVABLE"
-    text = verdict
-    if args.trace and result.trace is not None:
-        text += "\n" + _trace_text(result.trace)
-    payload = {"provable": result.provable,
-               "trace": _trace_json(result.trace)
-               if args.trace and result.trace else None}
-    _emit(args, payload, text)
+    trace = result.trace if args.trace else None
+    if args.json:
+        payload = {"provable": result.provable,
+                   "trace": None if trace is None else _trace_json(trace)}
+        _emit(args, payload, "")
+    else:
+        text = "PROVABLE" if result.provable else "UNPROVABLE"
+        if trace is not None:
+            text += "\n" + _trace_text(trace)
+        _emit(args, {}, text)
     return 0
 
 

@@ -37,8 +37,8 @@ from typing import Iterable
 
 from . import Record
 from .nodes import (
-    FAMILIES, PLAIN, Node, NodePat, SchemaError, UnknownFamily,
-    class_lit_covers, parse_pattern,
+    FAMILIES, Node, NodePat, SchemaError, UnknownFamily, class_lit_covers,
+    format_class_literal, parse_class_literal, parse_pattern, plain_parts,
 )
 
 __all__ = [
@@ -70,8 +70,8 @@ K_MAX_LIMIT = 100
 def ground_pattern(pat: NodePat, k: int) -> str | None:
     """Canonical text of the pattern at level k; None when any class goes
     below level 0 (the empty-class convention discards the instance)."""
-    node = pat.at(k)
-    return None if node is None else str(node)
+    ground = pat.ground(k)
+    return None if ground is None else ground[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +258,10 @@ def _level(rb: RuleBase, k: int):
     """The rule base ground at level k, built once and shared by the
     program of every level cap: (rules, facts), each aligned with the
     rule base's list and None where the guard excludes k or a class goes
-    below level 0.  A rule entry is (step, top), step being (rule id,
-    premise texts, conclusion text, conclusion level) and top the highest
-    level among its nodes; a fact entry is ((fact, k, theory texts,
+    below level 0.  A rule entry is (step, top, distinct), step being
+    (rule id, premise texts, conclusion text, conclusion level), top the
+    highest level among its nodes and distinct its distinct premise texts
+    in first-seen order; a fact entry is ((fact, k, theory texts,
     unprovable text), top).  Each guard is checked, and each distinct
     pattern ground, once; node texts are interned, so all instances
     share one string per node."""
@@ -269,34 +270,46 @@ def _level(rb: RuleBase, k: int):
         grounds: dict[str, tuple[str, int] | None] = {}
 
         def ground(pats: tuple[NodePat, ...], guard: str | None):
-            """(texts of all patterns but the last, text and level of the
-            last, highest level), or None."""
+            """(the patterns' texts, the last one's level, the highest
+            level), or None."""
             if guard:
                 if guard not in admits:
                     op, n = _GUARD_RE.match(guard.replace(" ", "")).groups()
                     admits[guard] = k >= int(n) if op == ">=" else k == int(n)
                 if not admits[guard]:
                     return None
-            out = []
+            texts, top = [], 0
             for p in pats:
                 if p.text not in grounds:
-                    node = p.at(k)
-                    grounds[p.text] = None if node is None else (
-                        sys.intern(str(node)), node.level)
-                if grounds[p.text] is None:
+                    g = p.ground(k)
+                    grounds[p.text] = None if g is None else (sys.intern(g[0]), g[1])
+                g = grounds[p.text]
+                if g is None:
                     return None
-                out.append(grounds[p.text])
-            *first, (last, level) = out
-            return tuple(text for text, _l in first), last, level, max(l for _t, l in out)
+                text, level = g
+                texts.append(text)
+                if level > top:
+                    top = level
+            return texts, level, top
 
         rules = []
         for rule in rb.rules:
             g = ground(rule.premises + (rule.conclusion,), rule.guard)
-            rules.append(None if g is None else ((rule.rule_id, *g[:3]), g[3]))
+            if g is None:
+                rules.append(None)
+            else:
+                (*prems, concl), level, top = g
+                prems = tuple(prems)
+                rules.append(((rule.rule_id, prems, concl, level), top,
+                              tuple(dict.fromkeys(prems))))
         facts = []
         for fact in rb.separations:
             g = ground(fact.theory + (fact.unprovable,), fact.guard)
-            facts.append(None if g is None else ((fact, k, g[0], g[1]), g[3]))
+            if g is None:
+                facts.append(None)
+            else:
+                (*theory, unprov), _level, top = g
+                facts.append(((fact, k, tuple(theory), unprov), top))
         rb._levels[k] = (rules, facts)
     return rb._levels[k]
 
@@ -320,12 +333,13 @@ def _program(rb: RuleBase, k_max: int):
         for row in zip(*(rules for rules, _facts in levels)):
             for entry in row:
                 if entry is not None:
-                    step, top = entry
-                    rid, texts, _concl, level = step
-                    distinct = set(texts)
+                    step, top, distinct = entry
                     for p in distinct or (None,):
                         watch.setdefault(p, []).append(len(insts))
-                    insts.append(step if top <= k_max else (rid, texts, None, level))
+                    if top > k_max:
+                        rid, texts, _concl, level = step
+                        step = (rid, texts, None, level)
+                    insts.append(step)
                     counts.append(len(distinct))
         facts = [entry[0] for row in zip(*(facts for _rules, facts in levels))
                  for entry in row if entry is not None and entry[1] <= k_max]
@@ -333,17 +347,36 @@ def _program(rb: RuleBase, k_max: int):
     return rb._programs[k_max]
 
 
+# The covers of each class literal text that a closure reached, as text:
+# a closure's nodes lie within K_MAX_LIMIT, so this holds at most 3
+# negations x 3 kinds x (K_MAX_LIMIT + 1) levels.
+_LITERAL_COVERS: dict[str, tuple[str, ...]] = {}
+
+
 def _cover_steps(rb: RuleBase, n: str) -> tuple:
-    """The monotonicity steps from a node to the nodes it covers, sorted
-    by text: one class argument lowered to one of its covers.  Memoized on
-    the rule base; they do not depend on the level cap."""
+    """The monotonicity steps from a canonical node to the nodes it
+    covers, sorted by text: one class argument lowered to one of its
+    covers, the arguments of a symmetric family sorted again.  Only the
+    plain variants of the rule base's inclusion families are monotone.
+    Memoized on the rule base; they do not depend on the level cap."""
     if n not in rb._covers:
-        node = Node.parse(n)
-        monotone = node.pid.family in rb.inclusions and node.pid.variant == PLAIN
-        covered = {str(Node(node.pid, (*node.args[:i], c, *node.args[i + 1:])).canonical())
-                   for i, a in enumerate(node.args) if monotone for c in class_lit_covers(a)}
-        mono = f"mono:{node.pid.family}"
-        rb._covers[n] = tuple((mono, (n,), w, None) for w in sorted(covered))
+        parts = plain_parts(n)
+        steps = ()
+        if parts is not None and parts[0] in rb.inclusions:
+            family, symmetric, lits = parts
+            covered = set()
+            for i, lit in enumerate(lits):
+                if lit not in _LITERAL_COVERS:
+                    _LITERAL_COVERS[lit] = tuple(map(
+                        format_class_literal, class_lit_covers(parse_class_literal(lit))))
+                for c in _LITERAL_COVERS[lit]:
+                    args = [*lits[:i], c, *lits[i + 1:]]
+                    if symmetric:
+                        args.sort()
+                    covered.add(":".join([family, *args]))
+            mono = f"mono:{family}"
+            steps = tuple((mono, (n,), w, None) for w in sorted(covered))
+        rb._covers[n] = steps
     return rb._covers[n]
 
 
@@ -585,13 +618,13 @@ def export_dot(preset: str, k: int) -> str:
     if preset not in _FIGURES:
         raise ValueError(f"unknown preset: {preset!r}")
     nodes, styles = _FIGURES[preset]
-    pats = [NodePat(p) for p in itertools.chain(nodes, *(b for b, _ in styles.values()))]
+    pats = [parse_pattern(p) for p in itertools.chain(nodes, *(b for b, _ in styles.values()))]
     least = next(j for j in itertools.count() if all(p.text_at(j) for p in pats))
     if k < least:
         raise ValueError(f"preset {preset!r} needs k >= {least}")
 
     def at(pat: str) -> str:
-        return NodePat(pat).text_at(k)
+        return parse_pattern(pat).text_at(k)
 
     lines = [f"digraph {preset} {{", "  rankdir=BT;", "  node [shape=box];"]
     label = {style: " + ".join(["HA", *map(at, base)]) for style, (base, _) in styles.items()}

@@ -14,6 +14,7 @@ writes P0 as S0 and sorts the arguments of the symmetric families.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 
 from . import Record
@@ -22,7 +23,7 @@ __all__ = [
     "PLAIN", "DELTA_SIGMA", "DELTA_PI", "CATALOG", "FAMILIES",
     "PrincipleId", "ClassLit", "Node", "NodePat",
     "SchemaError", "UnknownFamily", "ArityMismatch",
-    "principle", "parse_class_literal", "format_class_literal", "canonical_node",
+    "principle", "parse_class_literal", "format_class_literal", "canonical_node", "plain_parts",
     "class_lit_subset", "class_lit_covers", "parse_pattern",
 ]
 
@@ -144,7 +145,6 @@ def class_lit_subset(a: ClassLit, b: ClassLit) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
 def class_lit_covers(a: ClassLit) -> tuple[ClassLit, ...]:
     """The covers of a class literal in the inclusion order: the maximal
     canonical literals strictly below it, all within one level of it,
@@ -207,6 +207,15 @@ class Node(Record):
                          *map(format_class_literal, self.args)])
 
 
+def plain_parts(text: str) -> tuple[str, bool, list[str]] | None:
+    """The family of node text of a plain variant, whether its arguments
+    print sorted, and its class literal texts; None for a Delta variant."""
+    family, *lits = text.split(":")
+    if lits and lits[0] in _TAGGED:
+        return None
+    return family, family in _SYMMETRIC, lits
+
+
 @lru_cache(maxsize=_TEXT_MEMO)
 def canonical_node(text: str) -> str:
     """The canonical spelling of node text; memoized because a theory is
@@ -214,34 +223,107 @@ def canonical_node(text: str) -> str:
     return str(Node.parse(text).canonical())
 
 
-_LEVEL_RE = re.compile(r"\(k([+-]\d+)?\)(?=:|$)")
+# A class literal of a pattern: negation prefix, kind, and a level written
+# as digits or relative to k as (k), (k-1), (k+2), ...
+_PAT_LIT_RE = re.compile(r"(nn|n)?([SPD])(?:(\d+)|\(k([+-]\d+)?\))")
+_RELATIVE_RE = re.compile(r"\(k([+-]\d+)?\)(?=:|$)")
+
+
+def _at_zero(text: str) -> str:
+    """The text with every relative level written as 0: how a pattern's
+    error messages quote it."""
+    return _RELATIVE_RE.sub("0", text)
+
+
+@lru_cache(maxsize=_TEXT_MEMO)
+def _pattern_literal(text: str) -> tuple[str, str, int, bool, str]:
+    """A class literal of a pattern: its printed prefix ("nS"), the prefix
+    at level 0 (P0 prints as S0), its level or its offset from k, whether
+    the level is relative, and its text.  Memoized, so that patterns
+    share their literals."""
+    m = _PAT_LIT_RE.fullmatch(text)
+    if m is None:
+        raise SchemaError(f"bad class literal: {_at_zero(text)!r}")
+    prefix, kind, fixed, offset = m.groups()
+    head = (prefix or "") + kind
+    zero_head = head[:-1] + "S" if kind == "P" else head
+    if fixed is None:
+        return head, zero_head, int(offset or 0), True, text
+    return head, zero_head, int(fixed), False, text
 
 
 class NodePat(Record):
     """Node text of a rule or separation fact in which a class level may
-    be written relative to a level variable k: (k), (k-1), (k+2), ..."""
+    be written relative to a level variable k: (k), (k-1), (k+2), ...
 
-    __slots__ = ("text",)
+    The text is parsed once, when the pattern is built, into the shape
+    that grounds it: the printed head (family, and tag if any), whether
+    the arguments print sorted (the plain variant of a symmetric family),
+    whether a single class abbreviates the diagonal, and its class
+    literals as written (_pattern_literal)."""
+
+    __slots__ = ("text", "_head", "_sorted", "_diagonal", "_lits")
+
+    def __init__(self, text: str):
+        family, *rest = text.split(":")
+        tag = rest.pop(0) if rest and rest[0] in _TAGGED else ""
+        pid = _BY_HEAD.get((family, tag))
+        if pid is None:
+            raise UnknownFamily(f"unknown principle family: {_at_zero(text)!r}")
+        lits = tuple(map(_pattern_literal, rest))
+        diagonal = len(lits) == 1 and pid.arity == 2
+        if len(lits) != pid.arity and not diagonal:
+            raise ArityMismatch(f"{pid.family} takes {pid.arity} "
+                                f"class argument(s), got {len(lits)}")
+        set_text, set_head, set_sorted, set_diagonal, set_lits = self._setters
+        set_text(self, text)
+        set_head(self, sys.intern(f"{family}:{tag}") if tag else pid.family)
+        set_sorted(self, pid.family in _SYMMETRIC and pid.variant == PLAIN)
+        set_diagonal(self, diagonal)
+        set_lits(self, lits)
+
+    def ground(self, k: int) -> tuple[str, int] | None:
+        """The canonical text at level k and its level; None when a class
+        goes below level 0 (the empty-class convention discards the
+        instance).  Canonical: P0 prints as S0, the diagonal is written
+        out, and a symmetric family's arguments are sorted by text, so
+        that P10 comes before P9."""
+        texts = []
+        top = 0
+        for head, zero_head, level, relative, _text in self._lits:
+            if relative:
+                level += k
+                if level < 0:
+                    return None
+            texts.append(f"{head if level else zero_head}{level}")
+            if level > top:
+                top = level
+        if self._diagonal:
+            texts *= 2
+        elif self._sorted:
+            texts.sort()
+        return ":".join([self._head, *texts]), top
 
     def text_at(self, k: int) -> str | None:
-        """The text at level k as written; None when a class goes below
-        level 0 (the empty-class convention discards the instance)."""
-        ground = _LEVEL_RE.sub(lambda m: str(k + int(m[1] or 0)), self.text)
-        return None if "-" in ground else ground
-
-    def at(self, k: int) -> Node | None:
-        """The canonical node at level k; None as for text_at."""
-        ground = self.text_at(k)
-        return None if ground is None else Node.parse(ground).canonical()
+        """The text at level k as written (diagonal sugar kept); None as
+        for ground."""
+        texts = []
+        for head, _zero_head, level, relative, text in self._lits:
+            if relative:
+                level += k
+                if level < 0:
+                    return None
+                text = f"{head}{level}"
+            texts.append(text)
+        return ":".join([self._head, *texts])
 
 
 @lru_cache(maxsize=_TEXT_MEMO)
 def parse_pattern(text: str) -> NodePat:
-    """The pattern, checked by parsing it with every relative level at 0;
-    memoized because a rule base repeats its patterns (204 distinct ones
-    in the 1,404 uses of the shipped file)."""
+    """The pattern, parsed and checked once: memoized because a rule base
+    repeats its patterns (204 distinct ones in the 1,404 uses of the
+    shipped file)."""
     try:
-        Node.parse(_LEVEL_RE.sub("0", text))
+        return NodePat(text)
     except SchemaError as e:
         raise type(e)(f"{e} in pattern {text!r}") from None
-    return NodePat(text)

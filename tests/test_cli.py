@@ -393,6 +393,7 @@ _LOADED = [
     (["instantiate", "LEM:S1", "--phi", "E x. (x = y)"],
      _SYNTAX | {"duality", "principles"}),
     (["--json", "ipc", "--trace", "p -> ~~p"], {"cli", "formulas", "ipc"}),
+    (["ipc", "--trace", "p -> ~~p"], {"cli", "formulas", "ipc"}),
     (["verify-rules"], {"cli", "derivability", "formulas", "ipc", "nodes"}),
     (["closure", "--base", "LEM:S1", "--kmax", "3"], _ENGINE),
     (["query", "--base", "LEM:S1", "--goal", "DNE:S1", "--kmax", "3"], _ENGINE),
@@ -428,24 +429,28 @@ class TestProcess:
         proc = _module_run("classify", "A x. (x = x)")
         assert proc.returncode == 0 and proc.stdout == "Pi 1\n"
 
-    @pytest.mark.parametrize("argv, loaded", _LOADED,
-                             ids=[a[1] if a[0] == "--json" else a[0] for a, _ in _LOADED])
+    @pytest.mark.parametrize("argv, loaded", _LOADED, ids=[
+        a[1] if a[0] == "--json" else "ipc-text" if a[0] == "ipc" else a[0] for a, _ in _LOADED])
     def test_subcommand_loads_only_its_modules(self, tmp_path, argv, loaded):
         """A cold process imports only the modules its subcommand runs:
         a module imported for nothing costs every process its compile.
         No subcommand loads dataclasses or inspect, whose imports cost
-        more than most of the package's own modules."""
+        more than most of the package's own modules, and the subcommands
+        that neither print JSON nor read a rule base do not load json."""
         argv = [str(tmp_path / "fig.dot") if a == "OUT" else a for a in argv]
         proc = _python("-c", "import sys\n"
                        "from sca.cli import run\n"
                        f"code = run({argv!r})\n"
                        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+                       "print('json' in sys.modules)\n"
                        "print(code, *sorted(m for m in sys.modules if m.startswith('sca.')))")
-        *_, unwanted, last = proc.stdout.splitlines()
+        *_, unwanted, json_loaded, last = proc.stdout.splitlines()
         code, *modules = last.split()
         assert code == ("2" if argv == ["frobnicate"] else "0"), proc.stderr
         assert modules == sorted(f"sca.{m}" for m in loaded)
         assert unwanted == "[]"
+        if argv[0] in {"classify", "dual", "merge", "relclassify", "instantiate", "ipc"}:
+            assert json_loaded == "False"
 
     @pytest.mark.parametrize("argv", [
         ["classify", "~" * 3000 + "(x = 0)"],
@@ -477,10 +482,24 @@ class TestProcess:
     def test_nine_hundred_link_chain_proves(self):
         """Hashing a formula costs no recursion, so the search's one frame
         per step is the only limit: about 980 links in a fresh
-        interpreter, 493 when hashing recursed."""
+        interpreter, 493 when hashing recursed.  The text trace prints
+        with an explicit stack, one line per proof step: 900 R-imp steps
+        and an axiom."""
         chain = " -> ".join(f"p{i}" for i in range(900)) + " -> p0"
         proc = _module_run("ipc", chain)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "PROVABLE\n", "")
+        proc = _module_run("ipc", "--trace", chain)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        verdict, *steps = proc.stdout.splitlines()
+        assert verdict == "PROVABLE"
+        assert [step.split(":")[0].strip() for step in steps] == ["R-imp"] * 900 + ["axiom"]
+
+    def test_closure_where_arguments_order_by_text(self):
+        """DNEOR's arguments sort by their text, so P10 comes before P9."""
+        proc = _module_run("closure", "--base", "DNEOR:P9:P10", "--kmax", "10")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 10_643 and "DNEOR:P10:P9" in lines
 
     def test_long_run_of_like_quantifiers_merges(self):
         """Merging a run of n like quantifiers is one pass; the answer

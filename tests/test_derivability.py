@@ -7,23 +7,67 @@ import functools
 import itertools
 import pathlib
 import random
+import re
 import runpy
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sca.derivability import (
-    K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation, RuleBase, SchemaError,
-    Separated, TheoryContext, Unknown, UnknownFamily, _program, closure,
-    equivalence_class, export_dot, load_default_rulebase, load_rulebase,
-    parse_pattern, query, verify_rulebase,
+    _FIGURES, _LITERAL_COVERS, K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation,
+    RuleBase, SchemaError, Separated, TheoryContext, Unknown, UnknownFamily, _cover_steps,
+    _program, closure, equivalence_class, export_dot, ground_pattern, load_default_rulebase,
+    load_rulebase, parse_pattern, query, verify_rulebase,
 )
 from sca.formulas import parse
 from sca.hierarchy import class_lit_subset, relative_classify
-from sca.nodes import CATALOG, FAMILIES, PLAIN, ClassLit, Node, canonical_node
+from sca.nodes import (
+    CATALOG, DELTA_PI, DELTA_SIGMA, FAMILIES, PLAIN, ClassLit, Node, _pattern_literal,
+    canonical_node, class_lit_covers, parse_class_literal,
+)
 
 CITE = {"ref": "Fact 2.2", "quote": "the following fact trivially holds"}
+
+
+# Text grounding, the reference that NodePat's grounding from its parsed
+# shape is checked against: substitute each relative level into the
+# pattern's text, then parse, canonicalize and print the node.
+
+_LEVEL_RE = re.compile(r"\(k([+-]\d+)?\)(?=:|$)")
+
+
+def _text_at(pat, k: int) -> str | None:
+    """The pattern's text at level k as written; None when a class goes
+    below level 0."""
+    ground = _LEVEL_RE.sub(lambda m: str(k + int(m[1] or 0)), pat.text)
+    return None if "-" in ground else ground
+
+
+def _at(pat, k: int) -> Node | None:
+    """The canonical node of the pattern at level k; None as for _text_at."""
+    ground = _text_at(pat, k)
+    return None if ground is None else Node.parse(ground).canonical()
+
+
+def _pattern_error(text: str) -> tuple[type, str] | None:
+    """The type and message of the error that checking the pattern's text
+    with every relative level at 0 raises, or None."""
+    try:
+        Node.parse(_LEVEL_RE.sub("0", text))
+    except SchemaError as e:
+        return type(e), f"{e} in pattern {text!r}"
+    return None
+
+
+def _node_covers(rb, n: str) -> tuple:
+    """The cover steps of a node, built as nodes: each class argument
+    lowered to each of its covers, the node canonicalized and printed."""
+    node = Node.parse(n)
+    monotone = node.pid.family in rb.inclusions and node.pid.variant == PLAIN
+    covered = {str(Node(node.pid, (*node.args[:i], c, *node.args[i + 1:])).canonical())
+               for i, a in enumerate(node.args) if monotone for c in class_lit_covers(a)}
+    return tuple((f"mono:{node.pid.family}", (n,), w, None) for w in sorted(covered))
 
 
 # A naive reference fixpoint, written apart from the engine's worklist:
@@ -35,7 +79,7 @@ def _ground(pats, guard, k: int, k_max: int):
     node falls outside levels 0..k_max."""
     if guard and not eval(guard.replace("k", str(k))):  # noqa: S307 - trusted test data
         return None
-    nodes = [p.at(k) for p in pats]
+    nodes = [_at(p, k) for p in pats]
     if any(n is None or n.level > k_max for n in nodes):
         return None
     return [str(n) for n in nodes]
@@ -127,7 +171,7 @@ def _oracle_query(ctx, goal: str, rb, theory_closures: dict) -> tuple:
             if rule.guard and not eval(  # noqa: S307 - trusted test data
                     rule.guard.replace("k", str(k))):
                 continue
-            *prems, concl = [p.at(k) for p in rule.premises + (rule.conclusion,)]
+            *prems, concl = [_at(p, k) for p in rule.premises + (rule.conclusion,)]
             if (concl is not None and concl.level > ctx.k_max and None not in prems
                     and {str(p) for p in prems} <= have):
                 clamped.add(concl.level)
@@ -148,7 +192,7 @@ def _pool(rb) -> list[str]:
     """Nodes the shipped rules mention at k 1 and 2, up to level 3."""
     return sorted({str(n) for r in rb.rules
                    for p in r.premises + (r.conclusion,) for k in (1, 2)
-                   if (n := p.at(k)) is not None and n.level <= 3})
+                   if (n := _at(p, k)) is not None and n.level <= 3})
 
 
 def _mini(rules=(), separations=(), inclusions=("LEM", "DNE")):
@@ -166,7 +210,7 @@ def _direct_program(rb, k_max: int) -> tuple:
     for rule, k in itertools.product(rb.rules, range(k_max + 1)):
         if rule.guard and not eval(rule.guard.replace("k", str(k))):  # noqa: S307 - trusted test data
             continue
-        ground = [p.at(k) for p in rule.premises + (rule.conclusion,)]
+        ground = [_at(p, k) for p in rule.premises + (rule.conclusion,)]
         if any(g is None for g in ground):
             continue
         *prems, concl = ground
@@ -179,7 +223,7 @@ def _direct_program(rb, k_max: int) -> tuple:
     for fact, k in itertools.product(rb.separations, range(k_max + 1)):
         if fact.guard and not eval(fact.guard.replace("k", str(k))):  # noqa: S307 - trusted test data
             continue
-        ground = [p.at(k) for p in fact.theory + (fact.unprovable,)]
+        ground = [_at(p, k) for p in fact.theory + (fact.unprovable,)]
         if all(g is not None and g.level <= k_max for g in ground):
             *theory, unprov = map(str, ground)
             facts.append((fact, k, tuple(theory), unprov))
@@ -260,12 +304,18 @@ class TestLoadRulebase:
             *(closure(TheoryContext.make(ctx.assumed | {goal}, 3), rb) for ctx, goal in queries),
             *(closure(TheoryContext.make(theory, 3), rb) for theory in theories))
         assert covered <= reached
+        # the literal-cover memo, shared by rule bases, holds the literals
+        # of nodes closures reached, which lie within K_MAX_LIMIT
+        assert _LITERAL_COVERS
+        assert all(parse_class_literal(lit).level <= K_MAX_LIMIT for lit in _LITERAL_COVERS)
+        assert len(_LITERAL_COVERS) <= 3 * 3 * (K_MAX_LIMIT + 1)
 
     def test_node_text_memos_bounded(self):
         """Node text comes from requests: serving more distinct texts than
         the node-text memos hold leaves each at its bound.  Contexts
         rejected for their level fill Node.parse, relative classifications
-        canonical_node, and rule bases read from files parse_pattern."""
+        canonical_node, and rule bases read from files parse_pattern, the
+        memo of parsed pattern shapes, and its memo of class literals."""
         served = 40_000
         f = parse("x = 0")
         for n in range(4, 4 + served):
@@ -273,7 +323,7 @@ class TestLoadRulebase:
                 TheoryContext.make([f"LEM:S{n}"], 3)
             relative_classify(f, [f"DNE:P{n}"])
             parse_pattern(f"DML:S(k+{n})")
-        for memo in (Node.parse, canonical_node, parse_pattern):
+        for memo in (Node.parse, canonical_node, parse_pattern, _pattern_literal):
             info = memo.cache_info()
             assert info.currsize < served and info.currsize == info.maxsize
 
@@ -329,6 +379,86 @@ class TestGroundProgram:
             for small, big in itertools.pairwise(sorted(self.CAPS)):
                 shared = {id(i) for i in _program(rb, big)[0]}
                 assert all(id(i) in shared for i in _program(rb, small)[0] if i[2] is not None)
+
+
+def _pattern_texts() -> list[str]:
+    """Every distinct pattern of the shipped rule base and of the figures."""
+    rb = load_default_rulebase()
+    texts = {p.text for r in rb.rules for p in r.premises + (r.conclusion,)}
+    texts |= {p.text for f in rb.separations for p in f.theory + (f.unprovable,)}
+    for nodes, styles in _FIGURES.values():
+        texts.update(nodes, *(base for base, _edges in styles.values()))
+    return sorted(texts)
+
+
+_TAG_OF = {PLAIN: [], DELTA_SIGMA: ["DSI"], DELTA_PI: ["DPI"]}
+
+
+@st.composite
+def _generated_patterns(draw) -> str:
+    """Pattern text over a catalog schema (now and then an unknown
+    family), with one class literal per argument (or a single one, the
+    diagonal sugar, or a wrong count) and each level fixed or an offset
+    from k, below 0 too.  Now and then a literal is malformed."""
+    pid = draw(st.sampled_from([pid for pid, _ in CATALOG]))
+    family = draw(st.sampled_from([pid.family] * 20 + ["FROB"]))
+    count = draw(st.sampled_from([pid.arity] * 8 + [1, 2, 3]))
+    lits = [draw(st.sampled_from(["", "n", "nn"])) + draw(st.sampled_from("SPD" * 8 + "Q"))
+            + draw(st.one_of(st.integers(0, 12).map(str),
+                             st.integers(-12, 4).map(lambda d: f"(k{d:+d})" if d else "(k)")))
+            for _ in range(count)]
+    return ":".join([family, *_TAG_OF[pid.variant], *lits])
+
+
+def _assert_grounds_as_text(pat, k: int) -> None:
+    node = _at(pat, k)
+    assert pat.ground(k) == (None if node is None else (str(node), node.level)), (pat.text, k)
+    assert ground_pattern(pat, k) == (None if node is None else str(node))
+    assert pat.text_at(k) == _text_at(pat, k), (pat.text, k)
+
+
+class TestPatternGrounding:
+    """A pattern grounds from its parsed shape as the text grounding
+    does: canonical text, level, and the text as written."""
+
+    def test_shipped_and_figure_patterns(self):
+        for text in _pattern_texts():
+            pat = parse_pattern(text)
+            for k in range(K_MAX_LIMIT + 2):
+                _assert_grounds_as_text(pat, k)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_generated_patterns(), k=st.integers(0, 14))
+    @example(text="DNEOR:P(k-1):P(k)", k=10)   # P10 sorts before P9
+    @example(text="DML:nS(k):nS(k+1)", k=9)
+    @example(text="DMLBOT:P9:P(k)", k=10)
+    @example(text="DMLBOT:DSI:P(k):P(k-1)", k=10)  # a Delta variant keeps its order
+    @example(text="DNEOR:P(k-3):P0", k=3)  # P0 prints as S0
+    @example(text="DML:S(k-2):P(k)", k=1)  # below level 0
+    def test_generated_patterns(self, text, k):
+        """Errors too: the same type and message, the text quoted with
+        each relative level at 0."""
+        error = _pattern_error(text)
+        if error is None:
+            _assert_grounds_as_text(parse_pattern(text), k)
+        else:
+            with pytest.raises(SchemaError) as raised:
+                parse_pattern(text)
+            assert (type(raised.value), str(raised.value)) == error
+
+    def test_cover_steps_built_as_nodes(self):
+        """A node's cover steps from its text equal those built as nodes,
+        on every node of the cap-12 program and of a closure in which
+        DNEOR's arguments straddle levels 9 and 10, under the shipped
+        inclusions (every family) and under two families."""
+        rb = load_default_rulebase()
+        nodes = {n for _rid, prems, concl, _level in _program(rb, 12)[0]
+                 for n in (*prems, concl) if n is not None}
+        nodes |= closure(TheoryContext.make({"DNEOR:P9:P10"}, 10), rb)
+        assert "DNEOR:P10:P9" in nodes and "LEM:DSI:D3" in nodes
+        for base in (rb, _mini(inclusions=["DML", "LEM"])):
+            for n in sorted(nodes):
+                assert _cover_steps(base, n) == _node_covers(base, n), n
 
 
 class TestCanonicalNode:
@@ -484,7 +614,7 @@ class TestQuery:
     def test_agrees_with_oracle(self, rb, data):
         pool = sorted({str(n) for r in rb.rules
                        for p in r.premises + (r.conclusion,) for k in (1, 2)
-                       if (n := p.at(k)) is not None and n.level <= 3})
+                       if (n := _at(p, k)) is not None and n.level <= 3})
         base = data.draw(st.sets(st.sampled_from(pool), max_size=3))
         k_max = data.draw(st.integers(3, 4))
         ctx = TheoryContext.make(base, k_max)
@@ -572,7 +702,6 @@ class TestQuery:
 
     def test_consistency_audit(self, rb):
         # no shipped separation is contradicted by the rules themselves
-        from sca.derivability import ground_pattern
         for fact in rb.separations:
             for k in range(4):
                 theory, unprov, dead = [], None, False
