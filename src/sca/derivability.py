@@ -37,8 +37,8 @@ from typing import Iterable
 
 from . import Record
 from .nodes import (
-    FAMILIES, Node, NodePat, SchemaError, UnknownFamily, class_lit_covers,
-    format_class_literal, parse_class_literal, parse_pattern, plain_parts,
+    FAMILIES, NodePat, SchemaError, UnknownFamily, class_lit_covers,
+    format_class_literal, ground_node, parse_class_literal, parse_pattern, plain_parts,
 )
 
 __all__ = [
@@ -220,18 +220,18 @@ class TheoryContext(Record):
 
     def __init__(self, assumed: frozenset[str], k_max: int):
         """Check the level cap, spell the assumed nodes canonically and
-        check their levels."""
+        check their levels in text order, so that no hash seed names another."""
         if k_max < 0:
             raise LevelOutOfRange(f"k_max={k_max} is below the bound 0")
         if k_max > K_MAX_LIMIT:
             raise LevelOutOfRange(
                 f"k_max={k_max} exceeds the limit {K_MAX_LIMIT}")
-        canon = {Node.parse(n).canonical() for n in assumed}
-        for n in canon:
-            if n.level > k_max:
+        canon = dict(map(ground_node, assumed))
+        for n in sorted(canon):
+            if canon[n] > k_max:
                 raise LevelOutOfRange(f"{n} exceeds k_max={k_max}")
         set_assumed, set_k_max = self._setters
-        set_assumed(self, frozenset(map(str, canon)))
+        set_assumed(self, frozenset(canon))
         set_k_max(self, k_max)
 
     @staticmethod
@@ -436,9 +436,8 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
     The chain lists the steps the goal needs in the order the fixpoint
     added them, a run of monotonicity steps of one family folded into one
     down-set step where no other step uses the nodes it passes through."""
-    goal_node = Node.parse(goal).canonical()
-    goal = str(goal_node)
-    if goal_node.level > ctx.k_max:
+    goal, level = ground_node(goal)
+    if level > ctx.k_max:
         raise LevelOutOfRange(f"{goal} exceeds k_max={ctx.k_max}")
     nodes, steps, clamped = _closure_detail(ctx.assumed, rb, ctx.k_max)
     if goal in nodes:
@@ -468,7 +467,7 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
                 "cite": dict(fact.cite),
             })
 
-    involved = {Node.parse(n).level for n in ctx_with_goal}
+    involved = {ground_node(n)[1] for n in ctx_with_goal}
     warning = any(abs(lvl - m) <= 2 for lvl in clamped for m in involved)
     return Unknown(bool(clamped) and warning)
 
@@ -481,9 +480,8 @@ def equivalence_class(node: str, base: TheoryContext, rb: RuleBase) -> frozenset
     sorted order: when a candidate's closure lacks the node, so does the
     closure of every node in it (closure is monotone and idempotent), and
     all of them are ruled out without a closure of their own."""
-    parsed = Node.parse(node).canonical()
-    node = str(parsed)
-    if parsed.level > base.k_max - 2:
+    node, level = ground_node(node)
+    if level > base.k_max - 2:
         raise LevelOutOfRange(
             f"{node} needs k_max >= level + 2 (k_max={base.k_max})")
     fwd, _s, _c = _closure_detail(base.assumed | {node}, rb, base.k_max)

@@ -5,7 +5,9 @@ formula, over HA (classify_prenex).
 
 Class literals (ClassLit), their text syntax and their inclusion order
 live in the nodes module; ClassLit and class_lit_subset are re-exported
-here.
+here.  A theory's nodes are read by the nodes module's one reader
+(ground_node), and the DML and DNE nodes that a collapse needs are
+the patterns DML:S(k) and DNE:S(k), ground at the level in question.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .formulas import (
     Proj1, Rel, Var, _rename, _substituted, all_names, bounded_sugar,
     format_formula, fresh_name, is_negation,
 )
-from .nodes import (
-    ClassLit, Node, canonical_node, class_lit_subset, principle,
-)
+from .nodes import ClassLit, NodePat, class_lit_subset, ground_node
 
 __all__ = [
     "HClass", "ClassLit", "NotPrenex", "Unclassifiable",
@@ -167,8 +167,8 @@ def prenex_merge(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Theory-relative classification
 
-_DML = principle("DML")
-_DNE = principle("DNE")
+_DML = NodePat("DML:S(k)")
+_DNE = NodePat("DNE:S(k)")
 
 
 def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
@@ -181,19 +181,11 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
     P0 for S0, symmetric arguments in either order); only their canonical
     forms count.  An unknown or malformed node raises ValueError.
     """
-    t = frozenset(map(canonical_node, theory))
-    # each (family, level) looked up, read once per call
-    seen: dict[tuple[str, int], bool] = {}
+    t = {text for text, _level in map(ground_node, theory)}
 
-    def assumes(pid, k: int) -> bool:
-        """The theory contains the principle at Sigma k in every argument,
-        or k <= 0: HA proves DNE and DML at level 0; below it, a class is empty."""
-        if k <= 0:
-            return True
-        key = pid.family, k
-        if key not in seen:
-            seen[key] = str(Node(pid, (ClassLit(0, "S", k),) * pid.arity)) in t
-        return seen[key]
+    def assumes(pat: NodePat, k: int) -> bool:
+        """The theory has the pattern at k, or HA proves it: k <= 0 (a class below 0 is empty)."""
+        return k <= 0 or pat.ground(k)[0] in t
 
     # Down the spine of quantifiers and negations, then back up it.  A
     # quantifier of polarity q absorbs a body of its own polarity; a

@@ -1,6 +1,7 @@
-"""The principle catalog and the node grammar: the one parser and the one
-printer of node text "FAMILY[:TAG]:CLASS[:CLASS2]", e.g. "DNE:S1",
-"DML:S2:P2", "LEM:DPI:D1", where TAG (DSI, DPI) names a Delta variant.
+"""The principle catalog and the node grammar: NodePat, the one reader of
+node text "FAMILY[:TAG]:CLASS[:CLASS2]", e.g. "DNE:S1", "DML:S2:P2",
+"LEM:DPI:D1", where TAG (DSI, DPI) names a Delta variant, and its ground,
+the one canonical printer.
 
 A class literal is S<k>, P<k> or D<k> (the existential-leading,
 universal-leading and equivalence-premise classes at level k), optionally
@@ -9,6 +10,7 @@ ordered by inclusion (class_lit_subset, class_lit_covers).  Rule patterns
 may write the level as (k), (k-1), (k+2), ...  A single class on a binary family
 abbreviates the diagonal ("DML:S1" is "DML:S1:S1").  The canonical form
 writes P0 as S0 and sorts the arguments of the symmetric families.
+Ground node text, as a request writes it, is a pattern without k.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache
+from typing import Callable
 
 from . import Record
 
@@ -23,8 +26,8 @@ __all__ = [
     "PLAIN", "DELTA_SIGMA", "DELTA_PI", "CATALOG", "FAMILIES",
     "PrincipleId", "ClassLit", "Node", "NodePat",
     "SchemaError", "UnknownFamily", "ArityMismatch",
-    "principle", "parse_class_literal", "format_class_literal", "canonical_node", "plain_parts",
-    "class_lit_subset", "class_lit_covers", "parse_pattern",
+    "parse_class_literal", "format_class_literal", "ground_node", "canonical_node",
+    "plain_parts", "class_lit_subset", "class_lit_covers", "parse_pattern",
 ]
 
 PLAIN = "Plain"
@@ -89,15 +92,20 @@ _TAGGED = frozenset(_TAGS.values()) - {""}
 _BY_HEAD = {(pid.family, _TAGS[pid.variant]): pid for pid, _ in CATALOG}
 
 
-def principle(family: str) -> PrincipleId:
-    """The catalog entry of a family's plain variant."""
-    return _BY_HEAD[family, ""]
+def _read_head(text: str, shown: Callable[[str], str]) -> tuple[PrincipleId, list[str]]:
+    """The schema node text names and its literal texts; errors show shown(text)."""
+    family, *rest = text.split(":")
+    tag = rest.pop(0) if rest and rest[0] in _TAGGED else ""
+    pid = _BY_HEAD.get((family, tag))
+    if pid is None:
+        raise UnknownFamily(f"unknown principle family: {shown(text)!r}")
+    return pid, rest
 
 
 # ---------------------------------------------------------------------------
 # Class literals
 
-_LIT_RE = re.compile(r"(nn|n)?([SPD])(\d+)")
+_LIT_RE = re.compile(r"(nn|n)?([SPD])(?:(\d+)|\(k([+-]\d+)?\))")
 
 
 class ClassLit(Record):
@@ -118,11 +126,11 @@ class ClassLit(Record):
 
 
 def parse_class_literal(text: str) -> ClassLit:
+    """The ground class literal that the text spells: its level in digits."""
     m = _LIT_RE.fullmatch(text)
-    if m is None:
+    if m is None or m[3] is None:
         raise SchemaError(f"bad class literal: {text!r}")
-    prefix, kind, level = m.groups()
-    return ClassLit(len(prefix or ""), kind, int(level))
+    return ClassLit(len(m[1] or ""), m[2], int(m[3]))
 
 
 def format_class_literal(c: ClassLit) -> str:
@@ -160,8 +168,9 @@ def class_lit_covers(a: ClassLit) -> tuple[ClassLit, ...]:
 # ---------------------------------------------------------------------------
 # Nodes
 
-# Node text comes from requests, so its memos are bounded, above the 19,851
-# texts that a closure parses at the largest level cap, 100.
+# Node text comes from requests and files, so each memo of it (ground_node,
+# parse_pattern, _pattern_literal) is bounded, above the 15,265 node texts
+# of the ground program at the largest level cap, 100.
 _TEXT_MEMO = 2**15
 
 
@@ -179,15 +188,10 @@ class Node(Record):
         set_args(self, args)
 
     @staticmethod
-    @lru_cache(maxsize=_TEXT_MEMO)
     def parse(text: str) -> "Node":
         """The node the text spells, in the argument order written; a
         single class on a binary family abbreviates the diagonal."""
-        family, *rest = text.split(":")
-        tag = rest.pop(0) if rest and rest[0] in _TAGGED else ""
-        pid = _BY_HEAD.get((family, tag))
-        if pid is None:
-            raise UnknownFamily(f"unknown principle family: {text!r}")
+        pid, rest = _read_head(text, str)
         args = tuple(map(parse_class_literal, rest))
         return Node(pid, args * 2 if len(args) == 1 and pid.arity == 2 else args)
 
@@ -196,6 +200,7 @@ class Node(Record):
         return max(a.level for a in self.args)
 
     def canonical(self) -> "Node":
+        """With level, the reference that the tests check NodePat.ground against."""
         args = tuple([a.canonical() for a in self.args])
         if self.pid.family in _SYMMETRIC and self.pid.variant == PLAIN:
             args = tuple(sorted(args, key=format_class_literal))
@@ -216,16 +221,6 @@ def plain_parts(text: str) -> tuple[str, bool, list[str]] | None:
     return family, family in _SYMMETRIC, lits
 
 
-@lru_cache(maxsize=_TEXT_MEMO)
-def canonical_node(text: str) -> str:
-    """The canonical spelling of node text; memoized because a theory is
-    canonicalized node by node on every relative classification."""
-    return str(Node.parse(text).canonical())
-
-
-# A class literal of a pattern: negation prefix, kind, and a level written
-# as digits or relative to k as (k), (k-1), (k+2), ...
-_PAT_LIT_RE = re.compile(r"(nn|n)?([SPD])(?:(\d+)|\(k([+-]\d+)?\))")
 _RELATIVE_RE = re.compile(r"\(k([+-]\d+)?\)(?=:|$)")
 
 
@@ -236,14 +231,14 @@ def _at_zero(text: str) -> str:
 
 
 @lru_cache(maxsize=_TEXT_MEMO)
-def _pattern_literal(text: str) -> tuple[str, str, int, bool, str]:
+def _pattern_literal(text: str) -> tuple[str, str, int, bool, str] | None:
     """A class literal of a pattern: its printed prefix ("nS"), the prefix
     at level 0 (P0 prints as S0), its level or its offset from k, whether
-    the level is relative, and its text.  Memoized, so that patterns
-    share their literals."""
-    m = _PAT_LIT_RE.fullmatch(text)
+    the level is relative, and its text; None for text that is no class
+    literal.  Memoized: patterns and request texts share their literals."""
+    m = _LIT_RE.fullmatch(text)
     if m is None:
-        raise SchemaError(f"bad class literal: {_at_zero(text)!r}")
+        return None
     prefix, kind, fixed, offset = m.groups()
     head = (prefix or "") + kind
     zero_head = head[:-1] + "S" if kind == "P" else head
@@ -253,31 +248,33 @@ def _pattern_literal(text: str) -> tuple[str, str, int, bool, str]:
 
 
 class NodePat(Record):
-    """Node text of a rule or separation fact in which a class level may
-    be written relative to a level variable k: (k), (k-1), (k+2), ...
+    """Node text in which a level may be relative to k: (k), (k-1), (k+2), ...
 
     The text is parsed once, when the pattern is built, into the shape
     that grounds it: the printed head (family, and tag if any), whether
     the arguments print sorted (the plain variant of a symmetric family),
     whether a single class abbreviates the diagonal, and its class
-    literals as written (_pattern_literal)."""
+    literals as written (_pattern_literal).  Errors quote the text at
+    level 0 (_at_zero); for ground text (relative false) a relative level
+    is a bad class literal, and errors quote the text as written."""
 
     __slots__ = ("text", "_head", "_sorted", "_diagonal", "_lits")
 
-    def __init__(self, text: str):
-        family, *rest = text.split(":")
-        tag = rest.pop(0) if rest and rest[0] in _TAGGED else ""
-        pid = _BY_HEAD.get((family, tag))
-        if pid is None:
-            raise UnknownFamily(f"unknown principle family: {_at_zero(text)!r}")
+    def __init__(self, text: str, relative: bool = True):
+        shown = _at_zero if relative else str
+        pid, rest = _read_head(text, shown)
         lits = tuple(map(_pattern_literal, rest))
+        for lit, lit_text in zip(lits, rest):
+            if lit is None or lit[3] and not relative:  # lit[3]: a level relative to k
+                raise SchemaError(f"bad class literal: {shown(lit_text)!r}")
         diagonal = len(lits) == 1 and pid.arity == 2
         if len(lits) != pid.arity and not diagonal:
             raise ArityMismatch(f"{pid.family} takes {pid.arity} "
                                 f"class argument(s), got {len(lits)}")
+        tag = _TAGS[pid.variant]
         set_text, set_head, set_sorted, set_diagonal, set_lits = self._setters
         set_text(self, text)
-        set_head(self, sys.intern(f"{family}:{tag}") if tag else pid.family)
+        set_head(self, sys.intern(f"{pid.family}:{tag}") if tag else pid.family)
         set_sorted(self, pid.family in _SYMMETRIC and pid.variant == PLAIN)
         set_diagonal(self, diagonal)
         set_lits(self, lits)
@@ -327,3 +324,15 @@ def parse_pattern(text: str) -> NodePat:
         return NodePat(text)
     except SchemaError as e:
         raise type(e)(f"{e} in pattern {text!r}") from None
+
+
+@lru_cache(maxsize=_TEXT_MEMO)
+def ground_node(text: str) -> tuple[str, int]:
+    """The canonical text and level of ground node text, a pattern without
+    k: the request texts served, memoized as requests repeat their nodes."""
+    return NodePat(text, relative=False).ground(0)
+
+
+def canonical_node(text: str) -> str:
+    """The canonical spelling of ground node text."""
+    return ground_node(text)[0]

@@ -331,6 +331,101 @@ class TestEquiv:
             assert node in lines
 
 
+# Every entry point that reads request node text, NODE standing for it.
+_NODE_ENTRY_POINTS = {
+    "closure": ["closure", "--base", "NODE", "--kmax", "3"],
+    "query-base": ["query", "--base", "NODE", "--goal", "DNE:S1", "--kmax", "3"],
+    "query-goal": ["query", "--base", "LEM:S1", "--goal", "NODE", "--kmax", "3"],
+    "equiv": ["equiv", "NODE", "--kmax", "3"],
+    "relclassify": ["relclassify", "E x < y. A z. (x < z)", "--theory", "NODE"],
+    "instantiate": ["instantiate", "NODE", "--phi", "x = y"],
+}
+
+# Node text as written, its canonical form and its level.
+_SPELLINGS = [
+    ("DML:S1", "DML:S1:S1", 1),
+    ("LEM:P0", "LEM:S0", 0),
+    ("DNEOR:P9:P10", "DNEOR:P10:P9", 10),
+    ("LEM:S01", "LEM:S1", 1),
+]
+
+
+class TestRequestNodeText:
+    """Request node text reads the same at every entry point: a relative
+    level, a malformed literal, an unknown family or a wrong arity is one
+    error line quoting the text as written, and every other spelling of a
+    node answers as its canonical form."""
+
+    @pytest.mark.parametrize("entry", sorted(_NODE_ENTRY_POINTS))
+    @pytest.mark.parametrize("text, message", [
+        ("LEM:S(k)", "bad class literal: 'S(k)'"),
+        ("LEM:nS(k-1)", "bad class literal: 'nS(k-1)'"),
+        ("LEM:X(k)", "bad class literal: 'X(k)'"),
+        ("FOO:S(k)", "unknown principle family: 'FOO:S(k)'"),
+        ("LEM:S1:S2", "LEM takes 1 class argument(s), got 2"),
+    ])
+    def test_malformed_node_is_one_error_line(self, capsys, entry, text, message):
+        argv = [text if a == "NODE" else a for a in _NODE_ENTRY_POINTS[entry]]
+        assert _run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, canonical, level", _SPELLINGS)
+    def test_context_and_goal_read_the_canonical_form(self, capsys, text, canonical, level):
+        """A base lists the canonical form, a goal spelled either way is
+        in a base spelled the other way (an empty chain), and a level
+        above the cap is named in canonical form."""
+        kmax = str(level)
+        code, out, _ = _run(capsys, "--json", "closure", "--base", text, "--kmax", kmax)
+        assert code == 0 and json.loads(out)["base"] == [canonical]
+        for base, goal in ((text, canonical), (canonical, text)):
+            code, out, _ = _run(capsys, "--json", "query", "--base", base, "--goal", goal,
+                                "--kmax", kmax)
+            assert (code, json.loads(out)) == (0, {"result": "DERIVABLE", "chain": []})
+        if level:
+            below = f"error: {canonical} exceeds k_max={level - 1}\n"
+            assert _run(capsys, "closure", "--base", text, "--kmax", str(level - 1)) == (
+                1, "", below)
+            assert _run(capsys, "query", "--base", "", "--goal", text,
+                        "--kmax", str(level - 1)) == (1, "", below)
+
+    @pytest.mark.parametrize("text, canonical, level", _SPELLINGS)
+    def test_equiv_reads_the_canonical_form(self, capsys, text, canonical, level):
+        assert _run(capsys, "equiv", text, "--kmax", str(level + 1)) == (
+            1, "", f"error: {canonical} needs k_max >= level + 2 (k_max={level + 1})\n")
+        if level <= 1:
+            code, out, _ = _run(capsys, "--json", "equiv", text, "--kmax", str(level + 2))
+            payload = json.loads(out)
+            assert code == 0 and payload["node"] == canonical
+            assert canonical in payload["equivalents"]
+
+    @pytest.mark.parametrize("text, canonical, level", _SPELLINGS)
+    def test_theory_reads_the_canonical_form(self, capsys, text, canonical, level):
+        formula = "E x < y. A z. (x < z)"
+        answers = {_run(capsys, "relclassify", formula, "--theory", theory)
+                   for theory in (text, canonical)}
+        assert len(answers) == 1
+        if canonical == "DML:S1:S1":  # the bounded quantifier collapses
+            assert answers == {(0, "Pi 1\n", "")}
+
+    def test_first_node_above_the_cap_does_not_depend_on_the_hash_seed(self):
+        """Of several nodes above the cap, the error names the first in
+        text order."""
+        argv = ("closure", "--base", "LEM:S5,DNE:S6,DML:S7", "--kmax", "3")
+        errors = {_module_run(*argv, PYTHONHASHSEED=str(seed)).stderr for seed in range(4)}
+        assert errors == {"error: DML:S7:S7 exceeds k_max=3\n"}
+
+    @pytest.mark.parametrize("text, arity, node", [
+        ("DML:S1", 2, "DML:S1:S1"), ("LEM:P0", 1, "LEM:P0"),
+        ("DNEOR:P9:P10", 2, "DNEOR:P9:P10"), ("LEM:S01", 1, "LEM:S1"),
+    ])
+    def test_instantiate_keeps_the_order_written(self, capsys, text, arity, node):
+        """A schema instance names its node as instantiated: the diagonal
+        written out and each level in digits, P0 and the argument order
+        as written."""
+        witnesses = ["--phi", "x = y", "--psi", "x = 0"][:2 * arity]
+        code, out, _ = _run(capsys, "--json", "instantiate", text, *witnesses)
+        assert code == 0 and json.loads(out)["node"] == node
+
+
 class TestGraph:
     def test_writes_dot(self, capsys, tmp_path):
         out_path = tmp_path / "fig.dot"

@@ -24,7 +24,7 @@ from sca.formulas import parse
 from sca.hierarchy import class_lit_subset, relative_classify
 from sca.nodes import (
     CATALOG, DELTA_PI, DELTA_SIGMA, FAMILIES, PLAIN, ClassLit, Node, _pattern_literal,
-    canonical_node, class_lit_covers, parse_class_literal,
+    canonical_node, class_lit_covers, ground_node, parse_class_literal,
 )
 
 CITE = {"ref": "Fact 2.2", "quote": "the following fact trivially holds"}
@@ -313,9 +313,10 @@ class TestLoadRulebase:
     def test_node_text_memos_bounded(self):
         """Node text comes from requests: serving more distinct texts than
         the node-text memos hold leaves each at its bound.  Contexts
-        rejected for their level fill Node.parse, relative classifications
-        canonical_node, and rule bases read from files parse_pattern, the
-        memo of parsed pattern shapes, and its memo of class literals."""
+        rejected for their level and relative classifications fill
+        ground_node, the one memo of request text, rule bases read from
+        files parse_pattern, the memo of parsed pattern shapes, and both
+        the memo of class literals that they share."""
         served = 40_000
         f = parse("x = 0")
         for n in range(4, 4 + served):
@@ -323,7 +324,7 @@ class TestLoadRulebase:
                 TheoryContext.make([f"LEM:S{n}"], 3)
             relative_classify(f, [f"DNE:P{n}"])
             parse_pattern(f"DML:S(k+{n})")
-        for memo in (Node.parse, canonical_node, parse_pattern, _pattern_literal):
+        for memo in (ground_node, parse_pattern, _pattern_literal):
             info = memo.cache_info()
             assert info.currsize < served and info.currsize == info.maxsize
 
