@@ -184,7 +184,7 @@ def relative_classify(f: Formula, theory: Iterable[str] = ()) -> HClass:
     t = {text for text, _level in map(ground_node, theory)}
 
     def assumes(pat: NodePat, k: int) -> bool:
-        """The theory has the pattern at k, or HA proves it: k <= 0 (a class below 0 is empty)."""
+        """Whether the theory has the pattern at k; at k <= 0 HA proves it or the class is empty."""
         return k <= 0 or pat.ground(k)[0] in t
 
     # Down the spine of quantifiers and negations, then back up it.  A

@@ -328,8 +328,8 @@ def parse_pattern(text: str) -> NodePat:
 
 @lru_cache(maxsize=_TEXT_MEMO)
 def ground_node(text: str) -> tuple[str, int]:
-    """The canonical text and level of ground node text, a pattern without
-    k: the request texts served, memoized as requests repeat their nodes."""
+    """The canonical text and level of ground node text, read as a pattern
+    without k; memoized, as requests name their nodes again and again."""
     return NodePat(text, relative=False).ground(0)
 
 
