@@ -6,8 +6,8 @@ Submodules:
 - hierarchy: quantifier-alternation classification and the Sigma/Pi
   class lattice; re-exports ClassLit and class_lit_subset from nodes
 - duality: the prenex dual operator and its laws
-- nodes: principle catalog, node grammar (one parser, one printer) and
-  the class-literal order (class_lit_subset, class_lit_covers)
+- nodes: principle catalog, node grammar (one reader, one canonical
+  printer) and the class-literal order (class_lit_subset, class_lit_covers)
 - principles: restricted classical principle schemas and their instances
 - ipc: intuitionistic propositional decision procedure
 - derivability: Horn-rule closure engine over the principle lattice

@@ -227,12 +227,12 @@ def _cmd_query(args) -> int:
 
 def _cmd_equiv(args) -> int:
     from .derivability import TheoryContext, equivalence_class
-    from .nodes import canonical_node
+    from .nodes import ground_node
 
     rb = _load_rulebase(args)
     ctx = TheoryContext.make((), args.kmax)
     cls = sorted(equivalence_class(args.node, ctx, rb))
-    _emit(args, {"node": canonical_node(args.node),
+    _emit(args, {"node": ground_node(args.node)[0],
                  "k_max": args.kmax, "equivalents": cls}, "\n".join(cls))
     return 0
 

@@ -37,8 +37,7 @@ from typing import Iterable
 
 from . import Record
 from .nodes import (
-    FAMILIES, NodePat, SchemaError, UnknownFamily, class_lit_covers,
-    format_class_literal, ground_node, parse_class_literal, parse_pattern, plain_parts,
+    FAMILIES, NodePat, SchemaError, UnknownFamily, ground_node, parse_pattern, plain_covers,
 )
 
 __all__ = [
@@ -347,35 +346,18 @@ def _program(rb: RuleBase, k_max: int):
     return rb._programs[k_max]
 
 
-# The covers of each class literal text that a closure reached, as text:
-# a closure's nodes lie within K_MAX_LIMIT, so this holds at most 3
-# negations x 3 kinds x (K_MAX_LIMIT + 1) levels.
-_LITERAL_COVERS: dict[str, tuple[str, ...]] = {}
-
-
 def _cover_steps(rb: RuleBase, n: str) -> tuple:
     """The monotonicity steps from a canonical node to the nodes it
-    covers, sorted by text: one class argument lowered to one of its
-    covers, the arguments of a symmetric family sorted again.  Only the
-    plain variants of the rule base's inclusion families are monotone.
-    Memoized on the rule base; they do not depend on the level cap."""
+    covers (nodes.plain_covers), sorted by text.  Only the plain variants
+    of the rule base's inclusion families are monotone.  Memoized on the
+    rule base; they do not depend on the level cap."""
     if n not in rb._covers:
-        parts = plain_parts(n)
+        covers = plain_covers(n)
         steps = ()
-        if parts is not None and parts[0] in rb.inclusions:
-            family, symmetric, lits = parts
-            covered = set()
-            for i, lit in enumerate(lits):
-                if lit not in _LITERAL_COVERS:
-                    _LITERAL_COVERS[lit] = tuple(map(
-                        format_class_literal, class_lit_covers(parse_class_literal(lit))))
-                for c in _LITERAL_COVERS[lit]:
-                    args = [*lits[:i], c, *lits[i + 1:]]
-                    if symmetric:
-                        args.sort()
-                    covered.add(":".join([family, *args]))
+        if covers is not None and covers[0] in rb.inclusions:
+            family, covered = covers
             mono = f"mono:{family}"
-            steps = tuple((mono, (n,), w, None) for w in sorted(covered))
+            steps = tuple((mono, (n,), w, None) for w in covered)
         rb._covers[n] = steps
     return rb._covers[n]
 

@@ -214,14 +214,20 @@ def validate_trace(tr: Trace) -> bool:
     """Replay a derivation step by step against the statement of the
     rules, without the search: a left rule's principal is a hypothesis
     the rule takes, a right rule's is None and the goal has the rule's
-    shape, and the children's sequents are the premises, in order."""
-    hyps, goal, p = tr.sequent.hypotheses, tr.sequent.goal, tr.principal
-    ok = (tr.rule in _RIGHT.get(type(goal), ()) if p is None
-          else p in hyps and _left_rule(p, hyps, goal) == tr.rule)
-    return (ok and len(tr.children) == len(_PREMISES[tr.rule])
-            and all(k.sequent == Sequent(*premise(hyps, goal, p))
-                    for k, premise in zip(tr.children, _PREMISES[tr.rule]))
-            and all(map(validate_trace, tr.children)))
+    shape, and the children's sequents are the premises, in order.  The
+    steps wait on a stack, not in frames, so a trace of any depth replays."""
+    todo = [tr]
+    while todo:
+        tr = todo.pop()
+        hyps, goal, p = tr.sequent.hypotheses, tr.sequent.goal, tr.principal
+        ok = (tr.rule in _RIGHT.get(type(goal), ()) if p is None
+              else p in hyps and _left_rule(p, hyps, goal) == tr.rule)
+        if not (ok and len(tr.children) == len(_PREMISES[tr.rule])
+                and all(k.sequent == Sequent(*premise(hyps, goal, p))
+                        for k, premise in zip(tr.children, _PREMISES[tr.rule]))):
+            return False
+        todo.extend(reversed(tr.children))
+    return True
 
 
 # ---------------------------------------------------------------------------

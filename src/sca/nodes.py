@@ -1,7 +1,7 @@
-"""The principle catalog and the node grammar: NodePat, the one reader of
-node text "FAMILY[:TAG]:CLASS[:CLASS2]", e.g. "DNE:S1", "DML:S2:P2",
-"LEM:DPI:D1", where TAG (DSI, DPI) names a Delta variant, and its ground,
-the one canonical printer.
+"""The principle catalog and node text "FAMILY[:TAG]:CLASS[:CLASS2]", e.g.
+"DNE:S1", "DML:S2:P2", "LEM:DPI:D1", where TAG (DSI, DPI) names a Delta
+variant.  NodePat is its one reader (parse_pattern, ground_node, Node.parse)
+and _spell its one canonical printer (NodePat.ground, plain_covers).
 
 A class literal is S<k>, P<k> or D<k> (the existential-leading,
 universal-leading and equivalence-premise classes at level k), optionally
@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 import sys
 from functools import lru_cache
-from typing import Callable
 
 from . import Record
 
@@ -26,8 +25,8 @@ __all__ = [
     "PLAIN", "DELTA_SIGMA", "DELTA_PI", "CATALOG", "FAMILIES",
     "PrincipleId", "ClassLit", "Node", "NodePat",
     "SchemaError", "UnknownFamily", "ArityMismatch",
-    "parse_class_literal", "format_class_literal", "ground_node", "canonical_node",
-    "plain_parts", "class_lit_subset", "class_lit_covers", "parse_pattern",
+    "parse_class_literal", "format_class_literal", "ground_node", "plain_covers",
+    "class_lit_subset", "class_lit_covers", "parse_pattern",
 ]
 
 PLAIN = "Plain"
@@ -92,16 +91,6 @@ _TAGGED = frozenset(_TAGS.values()) - {""}
 _BY_HEAD = {(pid.family, _TAGS[pid.variant]): pid for pid, _ in CATALOG}
 
 
-def _read_head(text: str, shown: Callable[[str], str]) -> tuple[PrincipleId, list[str]]:
-    """The schema node text names and its literal texts; errors show shown(text)."""
-    family, *rest = text.split(":")
-    tag = rest.pop(0) if rest and rest[0] in _TAGGED else ""
-    pid = _BY_HEAD.get((family, tag))
-    if pid is None:
-        raise UnknownFamily(f"unknown principle family: {shown(text)!r}")
-    return pid, rest
-
-
 # ---------------------------------------------------------------------------
 # Class literals
 
@@ -127,10 +116,11 @@ class ClassLit(Record):
 
 def parse_class_literal(text: str) -> ClassLit:
     """The ground class literal that the text spells: its level in digits."""
-    m = _LIT_RE.fullmatch(text)
-    if m is None or m[3] is None:
+    lit = _pattern_literal(text)
+    if lit is None or lit[3]:
         raise SchemaError(f"bad class literal: {text!r}")
-    return ClassLit(len(m[1] or ""), m[2], int(m[3]))
+    head, _zero_head, level, _relative, _text = lit
+    return ClassLit(len(head) - 1, head[-1], level)
 
 
 def format_class_literal(c: ClassLit) -> str:
@@ -175,7 +165,7 @@ _TEXT_MEMO = 2**15
 
 
 class Node(Record):
-    """A ground principle node: a catalog schema at class literals."""
+    """A ground principle node: a catalog schema at class literals, as written."""
 
     __slots__ = ("pid", "args")
 
@@ -189,22 +179,10 @@ class Node(Record):
 
     @staticmethod
     def parse(text: str) -> "Node":
-        """The node the text spells, in the argument order written; a
-        single class on a binary family abbreviates the diagonal."""
-        pid, rest = _read_head(text, str)
-        args = tuple(map(parse_class_literal, rest))
-        return Node(pid, args * 2 if len(args) == 1 and pid.arity == 2 else args)
-
-    @property
-    def level(self) -> int:
-        return max(a.level for a in self.args)
-
-    def canonical(self) -> "Node":
-        """With level, the reference that the tests check NodePat.ground against."""
-        args = tuple([a.canonical() for a in self.args])
-        if self.pid.family in _SYMMETRIC and self.pid.variant == PLAIN:
-            args = tuple(sorted(args, key=format_class_literal))
-        return Node(self.pid, args)
+        """The node the text spells, read as a pattern without k (a diagonal written out)."""
+        pat = NodePat(text, relative=False)
+        args = tuple([parse_class_literal(lit[4]) for lit in pat._lits])  # lit[4]: its text
+        return Node(pat._pid, args * 2 if pat._diagonal else args)
 
     def __str__(self) -> str:
         tag = _TAGS[self.pid.variant]
@@ -212,13 +190,12 @@ class Node(Record):
                          *map(format_class_literal, self.args)])
 
 
-def plain_parts(text: str) -> tuple[str, bool, list[str]] | None:
-    """The family of node text of a plain variant, whether its arguments
-    print sorted, and its class literal texts; None for a Delta variant."""
-    family, *lits = text.split(":")
-    if lits and lits[0] in _TAGGED:
-        return None
-    return family, family in _SYMMETRIC, lits
+def _spell(head: str, texts: list[str]) -> str:
+    """Canonical node text from its printed head and its literals' canonical
+    texts, sorted for a symmetric family's plain variant (P10 before P9)."""
+    if head in _SYMMETRIC:
+        texts.sort()
+    return ":".join([head, *texts])
 
 
 _RELATIVE_RE = re.compile(r"\(k([+-]\d+)?\)(?=:|$)")
@@ -235,7 +212,8 @@ def _pattern_literal(text: str) -> tuple[str, str, int, bool, str] | None:
     """A class literal of a pattern: its printed prefix ("nS"), the prefix
     at level 0 (P0 prints as S0), its level or its offset from k, whether
     the level is relative, and its text; None for text that is no class
-    literal.  Memoized: patterns and request texts share their literals."""
+    literal.  The one reader of _LIT_RE's groups.  Memoized: patterns and
+    request texts share their literals."""
     m = _LIT_RE.fullmatch(text)
     if m is None:
         return None
@@ -251,18 +229,21 @@ class NodePat(Record):
     """Node text in which a level may be relative to k: (k), (k-1), (k+2), ...
 
     The text is parsed once, when the pattern is built, into the shape
-    that grounds it: the printed head (family, and tag if any), whether
-    the arguments print sorted (the plain variant of a symmetric family),
-    whether a single class abbreviates the diagonal, and its class
+    that grounds it: its schema, the printed head (family, and tag if
+    any), whether a single class abbreviates the diagonal, and its class
     literals as written (_pattern_literal).  Errors quote the text at
     level 0 (_at_zero); for ground text (relative false) a relative level
     is a bad class literal, and errors quote the text as written."""
 
-    __slots__ = ("text", "_head", "_sorted", "_diagonal", "_lits")
+    __slots__ = ("text", "_pid", "_head", "_diagonal", "_lits")
 
     def __init__(self, text: str, relative: bool = True):
         shown = _at_zero if relative else str
-        pid, rest = _read_head(text, shown)
+        family, *rest = text.split(":")
+        tag = rest.pop(0) if rest and rest[0] in _TAGGED else ""
+        pid = _BY_HEAD.get((family, tag))
+        if pid is None:
+            raise UnknownFamily(f"unknown principle family: {shown(text)!r}")
         lits = tuple(map(_pattern_literal, rest))
         for lit, lit_text in zip(lits, rest):
             if lit is None or lit[3] and not relative:  # lit[3]: a level relative to k
@@ -271,11 +252,10 @@ class NodePat(Record):
         if len(lits) != pid.arity and not diagonal:
             raise ArityMismatch(f"{pid.family} takes {pid.arity} "
                                 f"class argument(s), got {len(lits)}")
-        tag = _TAGS[pid.variant]
-        set_text, set_head, set_sorted, set_diagonal, set_lits = self._setters
+        set_text, set_pid, set_head, set_diagonal, set_lits = self._setters
         set_text(self, text)
+        set_pid(self, pid)
         set_head(self, sys.intern(f"{pid.family}:{tag}") if tag else pid.family)
-        set_sorted(self, pid.family in _SYMMETRIC and pid.variant == PLAIN)
         set_diagonal(self, diagonal)
         set_lits(self, lits)
 
@@ -283,8 +263,7 @@ class NodePat(Record):
         """The canonical text at level k and its level; None when a class
         goes below level 0 (the empty-class convention discards the
         instance).  Canonical: P0 prints as S0, the diagonal is written
-        out, and a symmetric family's arguments are sorted by text, so
-        that P10 comes before P9."""
+        out, and _spell sorts a symmetric family's arguments."""
         texts = []
         top = 0
         for head, zero_head, level, relative, _text in self._lits:
@@ -297,9 +276,7 @@ class NodePat(Record):
                 top = level
         if self._diagonal:
             texts *= 2
-        elif self._sorted:
-            texts.sort()
-        return ":".join([self._head, *texts]), top
+        return _spell(self._head, texts), top
 
     def text_at(self, k: int) -> str | None:
         """The text at level k as written (diagonal sugar kept); None as
@@ -333,6 +310,25 @@ def ground_node(text: str) -> tuple[str, int]:
     return NodePat(text, relative=False).ground(0)
 
 
-def canonical_node(text: str) -> str:
-    """The canonical spelling of ground node text."""
-    return ground_node(text)[0]
+# The covers of each class literal text plain_covers met, as text: the engine
+# asks for nodes its closures reach, within derivability.K_MAX_LIMIT, so
+# this holds at most 3 negations x 3 kinds x (K_MAX_LIMIT + 1) levels.
+_LITERAL_COVERS: dict[str, tuple[str, ...]] = {}
+
+
+def plain_covers(text: str) -> tuple[str, list[str]] | None:
+    """The family of a canonical node of a plain variant and the canonical
+    texts of the nodes it covers, sorted: one class argument lowered to
+    one of its covers.  None for a Delta variant.  The text is split, not
+    read as a pattern: a closure asks this once for every node it reaches."""
+    family, *lits = text.split(":")
+    if lits and lits[0] in _TAGGED:
+        return None
+    covered = set()
+    for i, lit in enumerate(lits):
+        if lit not in _LITERAL_COVERS:
+            _LITERAL_COVERS[lit] = tuple(map(
+                format_class_literal, class_lit_covers(parse_class_literal(lit))))
+        for c in _LITERAL_COVERS[lit]:
+            covered.add(_spell(family, [*lits[:i], c, *lits[i + 1:]]))
+    return family, sorted(covered)

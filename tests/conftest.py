@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 import warnings
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +15,10 @@ from sca.formulas import (
     Proj0, Proj1, Succ, Term, Var, Zero, free_vars,
 )
 from sca.ipc import PAnd, PAtom, PBot, PImp, POr, PropFormula
+from sca.nodes import (
+    CATALOG, DELTA_PI, DELTA_SIGMA, PLAIN, ArityMismatch, ClassLit, PrincipleId, SchemaError,
+    UnknownFamily,
+)
 
 # hypothesis imports its patch writer, and with it libcst, only to report a
 # failing property; under -W error libcst's import-time DeprecationWarning
@@ -133,3 +139,69 @@ def props(draw, depth: int = 4, atoms: tuple = PROP_ATOMS) -> PropFormula:
 @pytest.fixture(scope="session")
 def rb() -> derivability.RuleBase:
     return derivability.load_default_rulebase()
+
+
+# ---------------------------------------------------------------------------
+# Node text: a reference reader and canonical printer of ground node text,
+# written apart from sca.nodes (its own class-literal regex and head split;
+# only the catalog and the record and error types come from there).  The
+# tests check NodePat.ground, the engine's cover steps and the oracles'
+# canonical nodes and levels against it.
+
+_REF_LIT_RE = re.compile(r"(n{0,2})([SPD])(\d+)")
+_REF_TAGS = {PLAIN: "", DELTA_SIGMA: "DSI", DELTA_PI: "DPI"}
+_REF_SCHEMAS = {(pid.family, _REF_TAGS[pid.variant]): pid for pid, _ in CATALOG}
+# the families whose two class arguments are interchangeable
+_REF_SYMMETRIC = frozenset({"DML", "DMLBOT", "DNEOR"})
+
+
+def _ref_literal_text(c: ClassLit) -> str:
+    return "n" * c.neg + c.kind + str(c.level)
+
+
+class RefNode(NamedTuple):
+    """A ground node: a catalog schema at class literals."""
+
+    pid: PrincipleId
+    args: tuple[ClassLit, ...]
+
+    @staticmethod
+    def parse(text: str) -> RefNode:
+        """The node the text spells, in the argument order written, with
+        the errors of the package's readers; a single class on a binary
+        family abbreviates the diagonal."""
+        family, *rest = text.split(":")
+        tag = rest[0] if rest and rest[0] in ("DSI", "DPI") else ""
+        pid = _REF_SCHEMAS.get((family, tag))
+        if pid is None:
+            raise UnknownFamily(f"unknown principle family: {text!r}")
+        args = []
+        for lit in rest[1:] if tag else rest:
+            m = _REF_LIT_RE.fullmatch(lit)
+            if m is None:
+                raise SchemaError(f"bad class literal: {lit!r}")
+            args.append(ClassLit(len(m[1]), m[2], int(m[3])))
+        if len(args) == 1 and pid.arity == 2:
+            args *= 2
+        if len(args) != pid.arity:
+            raise ArityMismatch(f"{pid.family} takes {pid.arity} "
+                                f"class argument(s), got {len(args)}")
+        return RefNode(pid, tuple(args))
+
+    @property
+    def level(self) -> int:
+        return max(a.level for a in self.args)
+
+    def canonical(self) -> RefNode:
+        """P0 written S0, and the arguments of a symmetric family's plain
+        variant sorted by text."""
+        args = [ClassLit(a.neg, "S", 0) if a.kind == "P" and a.level == 0 else a
+                for a in self.args]
+        if self.pid.family in _REF_SYMMETRIC and self.pid.variant == PLAIN:
+            args.sort(key=_ref_literal_text)
+        return RefNode(self.pid, tuple(args))
+
+    def __str__(self) -> str:
+        tag = _REF_TAGS[self.pid.variant]
+        return ":".join([self.pid.family, *([tag] if tag else []),
+                         *map(_ref_literal_text, self.args)])

@@ -18,9 +18,9 @@ from sca.formulas import (
 )
 from sca.hierarchy import classify_prenex
 from sca.ipc import PNot, prove_classical, prove_ipc
-from sca.nodes import Node, parse_class_literal
+from sca.nodes import parse_class_literal
 from sca.principles import PrincipleId, instantiate
-from tests.conftest import prenex_literal_matrix, props
+from tests.conftest import RefNode, prenex_literal_matrix, props
 
 RB = load_default_rulebase()
 
@@ -137,7 +137,7 @@ def test_criterion_6_separation_soundness():
             unprov = ground_pattern(fact.unprovable, k)
             if any(g is None for g in ground) or unprov is None:
                 continue
-            k_max = max([Node.parse(n).level for n in ground + [unprov]] + [1]) + 2
+            k_max = max([RefNode.parse(n).level for n in ground + [unprov]] + [1]) + 2
             got = closure(TheoryContext.make(ground, k_max), RB)
             assert unprov not in got, (fact.fact_id, k)
 

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sca.derivability import (
-    _FIGURES, _LITERAL_COVERS, K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation,
+    _FIGURES, K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation,
     RuleBase, SchemaError, Separated, TheoryContext, Unknown, UnknownFamily, _cover_steps,
     _program, closure, equivalence_class, export_dot, ground_pattern, load_default_rulebase,
     load_rulebase, parse_pattern, query, verify_rulebase,
@@ -23,9 +23,10 @@ from sca.derivability import (
 from sca.formulas import parse
 from sca.hierarchy import class_lit_subset, relative_classify
 from sca.nodes import (
-    CATALOG, DELTA_PI, DELTA_SIGMA, FAMILIES, PLAIN, ClassLit, Node, _pattern_literal,
-    canonical_node, class_lit_covers, ground_node, parse_class_literal,
+    _LITERAL_COVERS, CATALOG, DELTA_PI, DELTA_SIGMA, FAMILIES, PLAIN, ClassLit, Node,
+    _pattern_literal, class_lit_covers, ground_node, parse_class_literal,
 )
+from tests.conftest import RefNode
 
 CITE = {"ref": "Fact 2.2", "quote": "the following fact trivially holds"}
 
@@ -44,17 +45,17 @@ def _text_at(pat, k: int) -> str | None:
     return None if "-" in ground else ground
 
 
-def _at(pat, k: int) -> Node | None:
+def _at(pat, k: int) -> RefNode | None:
     """The canonical node of the pattern at level k; None as for _text_at."""
     ground = _text_at(pat, k)
-    return None if ground is None else Node.parse(ground).canonical()
+    return None if ground is None else RefNode.parse(ground).canonical()
 
 
 def _pattern_error(text: str) -> tuple[type, str] | None:
     """The type and message of the error that checking the pattern's text
     with every relative level at 0 raises, or None."""
     try:
-        Node.parse(_LEVEL_RE.sub("0", text))
+        RefNode.parse(_LEVEL_RE.sub("0", text))
     except SchemaError as e:
         return type(e), f"{e} in pattern {text!r}"
     return None
@@ -63,9 +64,9 @@ def _pattern_error(text: str) -> tuple[type, str] | None:
 def _node_covers(rb, n: str) -> tuple:
     """The cover steps of a node, built as nodes: each class argument
     lowered to each of its covers, the node canonicalized and printed."""
-    node = Node.parse(n)
+    node = RefNode.parse(n)
     monotone = node.pid.family in rb.inclusions and node.pid.variant == PLAIN
-    covered = {str(Node(node.pid, (*node.args[:i], c, *node.args[i + 1:])).canonical())
+    covered = {str(RefNode(node.pid, (*node.args[:i], c, *node.args[i + 1:])).canonical())
                for i, a in enumerate(node.args) if monotone for c in class_lit_covers(a)}
     return tuple((f"mono:{node.pid.family}", (n,), w, None) for w in sorted(covered))
 
@@ -87,13 +88,13 @@ def _ground(pats, guard, k: int, k_max: int):
 
 @functools.cache
 def _down_set(text: str, incl: frozenset[str]) -> frozenset[str]:
-    node = Node.parse(text)
+    node = RefNode.parse(text)
     if node.pid.family not in incl or node.pid.variant != PLAIN:
         return frozenset({text})
     per_arg = [[c for kind in "SPD" for lvl in range(a.level + 1)
                 if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)]
                for a in node.args]
-    return frozenset(str(Node(node.pid, args).canonical())
+    return frozenset(str(RefNode(node.pid, args).canonical())
                      for args in itertools.product(*per_arg))
 
 
@@ -140,7 +141,7 @@ def _assert_chain_replays(chain, ctx, goal: str, rb) -> None:
                                ctx.k_max) == [*premises, conclusion]
                        for k in range(ctx.k_max + 1)), rule_id
         known.add(conclusion)
-    assert canonical_node(goal) in known
+    assert ground_node(goal)[0] in known
 
 
 def _oracle_query(ctx, goal: str, rb, theory_closures: dict) -> tuple:
@@ -175,7 +176,7 @@ def _oracle_query(ctx, goal: str, rb, theory_closures: dict) -> tuple:
             if (concl is not None and concl.level > ctx.k_max and None not in prems
                     and {str(p) for p in prems} <= have):
                 clamped.add(concl.level)
-    involved = {Node.parse(n).level for n in ctx.assumed | {goal}}
+    involved = {RefNode.parse(n).level for n in ctx.assumed | {goal}}
     return ("UNKNOWN", any(abs(c - m) <= 2 for c in clamped for m in involved))
 
 
@@ -464,17 +465,17 @@ class TestPatternGrounding:
 
 class TestCanonicalNode:
     def test_diagonal_sugar(self):
-        assert canonical_node("DML:S1") == "DML:S1:S1"
+        assert ground_node("DML:S1")[0] == "DML:S1:S1"
 
     def test_p0_canonicalizes(self):
-        assert canonical_node("LEM:P0") == "LEM:S0"
+        assert ground_node("LEM:P0")[0] == "LEM:S0"
 
     def test_symmetric_family_sorted(self):
-        assert canonical_node("DML:P2:S1") == canonical_node("DML:S1:P2")
+        assert ground_node("DML:P2:S1")[0] == ground_node("DML:S1:P2")[0]
 
     def test_node_level(self):
-        assert Node.parse("DML:S1:P2").level == 2
-        assert Node.parse("LEM:nnS3").level == 3
+        assert RefNode.parse("DML:S1:P2").level == 2
+        assert RefNode.parse("LEM:nnS3").level == 3
 
 
 class TestClosure:
@@ -532,7 +533,7 @@ class TestClosure:
             if pid.variant != PLAIN:
                 continue
             for args in itertools.product(lits, repeat=pid.arity):
-                node = str(Node(pid, args).canonical())
+                node = str(RefNode(pid, args).canonical())
                 got = closure(TheoryContext.make({node}, 2), rb)
                 assert got == _down_set(node, rb.inclusions), node
 
@@ -665,11 +666,11 @@ class TestQuery:
         """The same over a rule base with clamped and premise-free clamped
         rules, for every context of at most two nodes and every goal."""
         rb = _mini(rules=self.CLAMP_RULES, separations=self.CLAMP_SEPARATIONS)
-        pool = sorted({canonical_node(f"{fam}:{c}{lvl}") for fam in ("LEM", "DNE", "DML", "DNS")
+        pool = sorted({ground_node(f"{fam}:{c}{lvl}")[0] for fam in ("LEM", "DNE", "DML", "DNS")
                        for c in "SP" for lvl in range(4)})
         outcomes = set()
         for k_max in range(1, 5):
-            nodes = [n for n in pool if Node.parse(n).level <= k_max]
+            nodes = [n for n in pool if RefNode.parse(n).level <= k_max]
             for base in itertools.chain([()], itertools.combinations(nodes, 1),
                                         itertools.combinations(nodes[::3], 2)):
                 ctx = TheoryContext.make(base, k_max)
@@ -718,7 +719,7 @@ class TestQuery:
                 if fact.guard and not eval(  # noqa: S307 - trusted test data
                         fact.guard.replace("k", str(k))):
                     continue
-                k_max = max([Node.parse(n).level for n in theory + [unprov]]) + 2
+                k_max = max([RefNode.parse(n).level for n in theory + [unprov]]) + 2
                 got = closure(TheoryContext.make(theory, k_max), rb)
                 assert unprov not in got, (fact.fact_id, k)
 
@@ -748,7 +749,7 @@ class TestEquivalenceClass:
         nodes."""
         k_max = data.draw(st.integers(3, 4))
         pool = _pool(rb)
-        node = data.draw(st.sampled_from([n for n in pool if Node.parse(n).level <= k_max - 2]))
+        node = data.draw(st.sampled_from([n for n in pool if RefNode.parse(n).level <= k_max - 2]))
         base = TheoryContext.make(data.draw(st.sets(st.sampled_from(pool), max_size=2)), k_max)
         fwd = _oracle_closure(base.assumed | {node}, rb, k_max)
         want = {m for m in fwd if node in _oracle_closure(base.assumed | {m}, rb, k_max)}

@@ -476,12 +476,14 @@ SRC = pathlib.Path(formulas.__file__).parent
 
 # the parser's parentheses, ~ and term nesting; eval_bounded, which
 # short-circuits and raises MissingAssignment only on the branch it takes;
-# and the prover's search and trace replay, one frame per step of the proof
+# the prover's search, one frame per step of the proof; and the builder of
+# the --json trace, whose depth the json encoder that prints it limits too
 RECURSIVE = {
     "formulas.py": {"_Parser.term", "_Parser.term_prim", "_Parser.formula",
                     "_Parser.unary", "_Parser.atom_formula", "eval_bounded"},
-    "ipc.py": {"_PropParser.unary", "_search", "validate_trace"},
+    "ipc.py": {"_PropParser.unary", "_search"},
     "hierarchy.py": set(),
+    "cli.py": {"_trace_json"},
 }
 
 

@@ -6,6 +6,10 @@ and rule verification through the rule base."""
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +327,33 @@ class TestValidateTrace:
         assert not validate_trace(mutant)
         # the reference does not check these principals
         assert reference_validate(mutant)
+
+    def test_nine_hundred_link_chain_replays(self):
+        """validate_trace replays every proof the prover finds: the trace of
+        p0 -> ... -> p899 -> p0 is 900 R-imp steps and an axiom, deeper
+        than a replay with one frame per step reaches (496).  The same
+        trace with its axiom made a leaf R-imp is rejected, so the replay
+        reaches the last step.  Run in a fresh interpreter: in process,
+        pytest's own frames use up the stack the search needs."""
+        script = """if True:
+            from sca.ipc import Trace, parse_prop, prove_ipc, validate_trace
+            chain = " -> ".join(f"p{i}" for i in range(900)) + " -> p0"
+            tr = prove_ipc(parse_prop(chain)).trace
+            path = [tr]
+            while path[-1].children:
+                path += path[-1].children
+            leaf = path.pop()
+            bad = Trace("R-imp", leaf.sequent, None, ())
+            for step in reversed(path):
+                bad = Trace(step.rule, step.sequent, step.principal, (bad,))
+            print(len(path), leaf.rule, validate_trace(tr), validate_trace(bad))
+        """
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "900 axiom True False\n", "")
 
 
 class TestPropSyntax:
