@@ -7,7 +7,7 @@ Submodules:
   class lattice; re-exports ClassLit and class_lit_subset from nodes
 - duality: the prenex dual operator and its laws
 - nodes: principle catalog, node grammar (one reader, one canonical
-  printer) and the class-literal order (class_lit_subset, class_lit_covers)
+  printer) and the class-literal order, one rank (class_lit_subset)
 - principles: restricted classical principle schemas and their instances
 - ipc: intuitionistic propositional decision procedure
 - derivability: Horn-rule closure engine over the principle lattice

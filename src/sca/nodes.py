@@ -5,11 +5,13 @@ and _spell its one canonical printer (NodePat.ground, plain_covers).
 
 A class literal is S<k>, P<k> or D<k> (the existential-leading,
 universal-leading and equivalence-premise classes at level k), optionally
-prefixed by "n" or "nn" (negated, doubly negated); class literals are
-ordered by inclusion (class_lit_subset, class_lit_covers).  Rule patterns
-may write the level as (k), (k-1), (k+2), ...  A single class on a binary family
-abbreviates the diagonal ("DML:S1" is "DML:S1:S1").  The canonical form
-writes P0 as S0 and sorts the arguments of the symmetric families.
+prefixed by "n" or "nn" (negated, doubly negated).  Inclusion orders the
+literals of one negation depth by one rank, _rank: D<k> at 2k, S<k> and
+P<k> at 2k + 1 (class_lit_subset, and the covers of plain_covers).  A Delta
+variant's first class is a D class.  Rule patterns may write the level as
+(k), (k-1), (k+2), ...  A single class on a binary family abbreviates the
+diagonal ("DML:S1" is "DML:S1:S1").  The canonical form writes P0 as S0
+and sorts the arguments of the symmetric families.
 Ground node text, as a request writes it, is a pattern without k.
 """
 
@@ -26,7 +28,7 @@ __all__ = [
     "PrincipleId", "ClassLit", "Node", "NodePat",
     "SchemaError", "UnknownFamily", "ArityMismatch",
     "parse_class_literal", "format_class_literal", "ground_node", "plain_covers",
-    "class_lit_subset", "class_lit_covers", "parse_pattern",
+    "class_lit_subset", "parse_pattern",
 ]
 
 PLAIN = "Plain"
@@ -108,11 +110,6 @@ class ClassLit(Record):
         set_kind(self, kind)
         set_level(self, level)
 
-    def canonical(self) -> "ClassLit":
-        if self.kind == "P" and self.level == 0:
-            return ClassLit(self.neg, "S", 0)
-        return self
-
 
 def parse_class_literal(text: str) -> ClassLit:
     """The ground class literal that the text spells: its level in digits."""
@@ -127,32 +124,18 @@ def format_class_literal(c: ClassLit) -> str:
     return "n" * c.neg + c.kind + str(c.level)
 
 
+def _rank(kind: str, level: int) -> int:
+    """The place of a class literal in the inclusion order within its
+    negation depth: D<L> at 2L, S<L> and P<L> at 2L + 1."""
+    return 2 * level + (kind != "D")
+
+
 def class_lit_subset(a: ClassLit, b: ClassLit) -> bool:
-    """Ground inclusion lattice extended with the premise classes D<k>
-    (between level k-1 and level k) and negation congruence."""
-    a = a.canonical()
-    b = b.canonical()
-    if a.neg != b.neg:
-        return False
-    if a == b:
-        return True
-    if a.level < b.level:
-        return True
-    if a.level == b.level and a.kind == "D" and b.kind in ("S", "P"):
-        return True
-    return False
-
-
-def class_lit_covers(a: ClassLit) -> tuple[ClassLit, ...]:
-    """The covers of a class literal in the inclusion order: the maximal
-    canonical literals strictly below it, all within one level of it,
-    sorted by text."""
-    a = a.canonical()
-    below = {c.canonical() for kind in "SPD"
-             for lvl in range(max(a.level - 1, 0), a.level + 1)
-             if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)} - {a}
-    maximal = [c for c in below if not any(d != c and class_lit_subset(c, d) for d in below)]
-    return tuple(sorted(maximal, key=format_class_literal))
+    """Whether class a lies in class b: the same negation depth, and a of
+    lower rank or the same literal (P0 is S0)."""
+    rank_a, rank_b = _rank(a.kind, a.level), _rank(b.kind, b.level)
+    return a.neg == b.neg and (rank_a < rank_b or rank_a == rank_b
+                               and (a.kind == b.kind or a.level == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +145,8 @@ def class_lit_covers(a: ClassLit) -> tuple[ClassLit, ...]:
 # parse_pattern, _pattern_literal) is bounded, above the 15,265 node texts
 # of the ground program at the largest level cap, 100.
 _TEXT_MEMO = 2**15
+
+_DELTA_FIRST = "variant {} requires a D class in the first argument"
 
 
 class Node(Record):
@@ -173,6 +158,8 @@ class Node(Record):
         if len(args) != pid.arity:
             raise ArityMismatch(f"{pid.family} takes {pid.arity} "
                                 f"class argument(s), got {len(args)}")
+        if pid.variant != PLAIN and args[0].kind != "D":
+            raise ArityMismatch(_DELTA_FIRST.format(pid.variant))
         set_pid, set_args = self._setters
         set_pid(self, pid)
         set_args(self, args)
@@ -252,6 +239,8 @@ class NodePat(Record):
         if len(lits) != pid.arity and not diagonal:
             raise ArityMismatch(f"{pid.family} takes {pid.arity} "
                                 f"class argument(s), got {len(lits)}")
+        if tag and lits[0][0][-1] != "D":  # lits[0][0]: the first literal's prefix ("nD")
+            raise ArityMismatch(f"{_DELTA_FIRST.format(pid.variant)}: {shown(text)!r}")
         set_text, set_pid, set_head, set_diagonal, set_lits = self._setters
         set_text(self, text)
         set_pid(self, pid)
@@ -316,6 +305,17 @@ def ground_node(text: str) -> tuple[str, int]:
 _LITERAL_COVERS: dict[str, tuple[str, ...]] = {}
 
 
+def _literal_covers(text: str) -> tuple[str, ...]:
+    """The covers of a ground class literal, sorted: the canonical literals
+    one rank below it.  S0 alone lies under D1, and nothing under D0."""
+    head, _zero_head, level, _relative, _text = _pattern_literal(text)
+    level, odd = divmod(_rank(head[-1], level) - 1, 2)
+    if level < 0:
+        return ()
+    kinds = ("PS" if level else "S") if odd else "D"
+    return tuple(f"{head[:-1]}{kind}{level}" for kind in kinds)
+
+
 def plain_covers(text: str) -> tuple[str, list[str]] | None:
     """The family of a canonical node of a plain variant and the canonical
     texts of the nodes it covers, sorted: one class argument lowered to
@@ -327,8 +327,7 @@ def plain_covers(text: str) -> tuple[str, list[str]] | None:
     covered = set()
     for i, lit in enumerate(lits):
         if lit not in _LITERAL_COVERS:
-            _LITERAL_COVERS[lit] = tuple(map(
-                format_class_literal, class_lit_covers(parse_class_literal(lit))))
+            _LITERAL_COVERS[lit] = _literal_covers(lit)
         for c in _LITERAL_COVERS[lit]:
             covered.add(_spell(family, [*lits[:i], c, *lits[i + 1:]]))
     return family, sorted(covered)

@@ -93,10 +93,6 @@ def instantiate(pid: PrincipleId, class_args: Sequence[ClassLit],
         raise ArityMismatch(f"not in the catalog: {pid}")
     node = str(Node(pid, tuple(class_args)))
 
-    if pid.variant != PLAIN and class_args and class_args[0].kind != "D":
-        raise ArityMismatch(
-            f"variant {pid.variant} requires a D class in the first argument")
-
     expected = (sum(2 if lit.kind == "D" else 1 for lit in class_args)
                 + (1 if pid.family == "PEIRCE" else 0))
     if len(witnesses) != expected:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from typing import NamedTuple
@@ -159,6 +160,40 @@ def _ref_literal_text(c: ClassLit) -> str:
     return "n" * c.neg + c.kind + str(c.level)
 
 
+def _ref_s0(c: ClassLit) -> ClassLit:
+    """The literal with P0 written S0: the two name one class."""
+    return ClassLit(c.neg, "S", 0) if c.kind == "P" and c.level == 0 else c
+
+
+@functools.cache
+def ref_lit_subset(a: ClassLit, b: ClassLit) -> bool:
+    """Whether class a lies in class b, as the paper states the inclusions:
+    within one negation depth, D_k lies in S_k and in P_k, and each of S_k
+    and P_k lies in S_k+1, in P_k+1 and in D_k+1 (Delta_k+1 is the
+    intersection of Sigma_k+1 and Pi_k+1); P0 is S0, and inclusion is
+    reflexive and transitive.  No class lies in one of a lower level."""
+    a, b = _ref_s0(a), _ref_s0(b)
+    if a.neg != b.neg or a.level > b.level:
+        return False
+    if a == b:
+        return True
+    above = ([ClassLit(a.neg, "S", a.level), ClassLit(a.neg, "P", a.level)] if a.kind == "D"
+             else [ClassLit(a.neg, kind, a.level + 1) for kind in "SPD"])
+    return any(ref_lit_subset(c, b) for c in above)
+
+
+@functools.cache
+def ref_lit_covers(a: ClassLit) -> tuple[ClassLit, ...]:
+    """The covers of a class literal, found by enumeration: the maximal
+    literals strictly below it (P0 written S0), sorted by text."""
+    a = _ref_s0(a)
+    below = {c for kind in "SPD" for level in range(a.level + 1)
+             if (c := _ref_s0(ClassLit(a.neg, kind, level))) != a and ref_lit_subset(c, a)}
+    return tuple(sorted((c for c in below
+                         if not any(d != c and ref_lit_subset(c, d) for d in below)),
+                        key=_ref_literal_text))
+
+
 class RefNode(NamedTuple):
     """A ground node: a catalog schema at class literals."""
 
@@ -186,6 +221,9 @@ class RefNode(NamedTuple):
         if len(args) != pid.arity:
             raise ArityMismatch(f"{pid.family} takes {pid.arity} "
                                 f"class argument(s), got {len(args)}")
+        if tag and args[0].kind != "D":
+            raise ArityMismatch(f"variant {pid.variant} requires a D class "
+                                f"in the first argument: {text!r}")
         return RefNode(pid, tuple(args))
 
     @property
@@ -195,8 +233,7 @@ class RefNode(NamedTuple):
     def canonical(self) -> RefNode:
         """P0 written S0, and the arguments of a symmetric family's plain
         variant sorted by text."""
-        args = [ClassLit(a.neg, "S", 0) if a.kind == "P" and a.level == 0 else a
-                for a in self.args]
+        args = list(map(_ref_s0, self.args))
         if self.pid.family in _REF_SYMMETRIC and self.pid.variant == PLAIN:
             args.sort(key=_ref_literal_text)
         return RefNode(self.pid, tuple(args))

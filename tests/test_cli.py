@@ -352,9 +352,9 @@ _SPELLINGS = [
 
 class TestRequestNodeText:
     """Request node text reads the same at every entry point: a relative
-    level, a malformed literal, an unknown family or a wrong arity is one
-    error line quoting the text as written, and every other spelling of a
-    node answers as its canonical form."""
+    level, a malformed literal, an unknown family, a wrong arity or a Delta
+    variant whose first class is not D is one error line, and every other
+    spelling of a node answers as its canonical form."""
 
     @pytest.mark.parametrize("entry", sorted(_NODE_ENTRY_POINTS))
     @pytest.mark.parametrize("text, message", [
@@ -363,6 +363,8 @@ class TestRequestNodeText:
         ("LEM:X(k)", "bad class literal: 'X(k)'"),
         ("FOO:S(k)", "unknown principle family: 'FOO:S(k)'"),
         ("LEM:S1:S2", "LEM takes 1 class argument(s), got 2"),
+        ("LEM:DSI:S1", "variant DeltaSigma requires a D class in the first argument: "
+                       "'LEM:DSI:S1'"),
     ])
     def test_malformed_node_is_one_error_line(self, capsys, entry, text, message):
         argv = [text if a == "NODE" else a for a in _NODE_ENTRY_POINTS[entry]]
@@ -660,7 +662,8 @@ FORMULAS = ["A x. (x = x)", "E x. A y. (x < y)", "~~(x = 0)",
 NODES = ["LEM:S1", "DNE:S0", "DML:S1:P1", "DML:S1", "DNEOR:P1:P1", "COLL:P2",
          "LEM:DPI:D1", "LEM:P0", "LEM:nS1", "CD:nS1:nP1", "PEIRCE:S1", "LN:P1",
          "DNS:S0", "DUAL:DSI:D1", "WDUAL:P1", "LEMBOT:S1", "DMLBOT:DPI:D1:S1",
-         "DNE:S9", "FOO:S1", "DNE:X1", "LEM:S1:S1", "CD:nS1:THETA", "LEM:", ":", ""]
+         "DNE:S9", "FOO:S1", "DNE:X1", "LEM:S1:S1", "CD:nS1:THETA", "LEM:", ":", "",
+         "LEM:DSI:S1"]
 LEVELS = ["0", "1", "2", "3", "4", "-1", "x", "", "100000000000000000000"]
 STRAY = ["--json", "--trace", "--help", "--kmax", "--frob", "extra", "--base"]
 

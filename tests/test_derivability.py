@@ -21,12 +21,12 @@ from sca.derivability import (
     load_rulebase, parse_pattern, query, verify_rulebase,
 )
 from sca.formulas import parse
-from sca.hierarchy import class_lit_subset, relative_classify
+from sca.hierarchy import relative_classify
 from sca.nodes import (
     _LITERAL_COVERS, CATALOG, DELTA_PI, DELTA_SIGMA, FAMILIES, PLAIN, ClassLit, Node,
-    _pattern_literal, class_lit_covers, ground_node, parse_class_literal,
+    _pattern_literal, ground_node, parse_class_literal,
 )
-from tests.conftest import RefNode
+from tests.conftest import RefNode, ref_lit_covers, ref_lit_subset
 
 CITE = {"ref": "Fact 2.2", "quote": "the following fact trivially holds"}
 
@@ -67,7 +67,7 @@ def _node_covers(rb, n: str) -> tuple:
     node = RefNode.parse(n)
     monotone = node.pid.family in rb.inclusions and node.pid.variant == PLAIN
     covered = {str(RefNode(node.pid, (*node.args[:i], c, *node.args[i + 1:])).canonical())
-               for i, a in enumerate(node.args) if monotone for c in class_lit_covers(a)}
+               for i, a in enumerate(node.args) if monotone for c in ref_lit_covers(a)}
     return tuple((f"mono:{node.pid.family}", (n,), w, None) for w in sorted(covered))
 
 
@@ -92,7 +92,7 @@ def _down_set(text: str, incl: frozenset[str]) -> frozenset[str]:
     if node.pid.family not in incl or node.pid.variant != PLAIN:
         return frozenset({text})
     per_arg = [[c for kind in "SPD" for lvl in range(a.level + 1)
-                if class_lit_subset(c := ClassLit(a.neg, kind, lvl), a)]
+                if ref_lit_subset(c := ClassLit(a.neg, kind, lvl), a)]
                for a in node.args]
     return frozenset(str(RefNode(node.pid, args).canonical())
                      for args in itertools.product(*per_arg))
@@ -434,7 +434,8 @@ class TestPatternGrounding:
     @example(text="DNEOR:P(k-1):P(k)", k=10)   # P10 sorts before P9
     @example(text="DML:nS(k):nS(k+1)", k=9)
     @example(text="DMLBOT:P9:P(k)", k=10)
-    @example(text="DMLBOT:DSI:P(k):P(k-1)", k=10)  # a Delta variant keeps its order
+    @example(text="DMLBOT:DSI:nD(k):D(k)", k=10)  # a Delta variant keeps its order
+    @example(text="LEM:DSI:S(k)", k=1)  # a Delta variant's first class is a D class
     @example(text="DNEOR:P(k-3):P0", k=3)  # P0 prints as S0
     @example(text="DML:S(k-2):P(k)", k=1)  # below level 0
     def test_generated_patterns(self, text, k):

@@ -20,10 +20,8 @@ from sca.hierarchy import (
     ClassLit, HClass, NotPrenex, Unclassifiable, class_lit_subset, class_subset,
     classify_prenex, prenex_merge, prenex_prefix, relative_classify,
 )
-from sca.nodes import (
-    CATALOG, Node, class_lit_covers, format_class_literal, parse_class_literal,
-)
-from tests.conftest import VAR_POOL, prenex, qfree
+from sca.nodes import CATALOG, Node, format_class_literal, parse_class_literal, plain_covers
+from tests.conftest import VAR_POOL, prenex, qfree, ref_lit_covers, ref_lit_subset
 
 ALL_CLASSES = [HClass(p, k) for p in ("Sigma", "Pi") for k in range(7)]
 
@@ -311,9 +309,12 @@ def spelled_nodes(draw):
         lits = [ClassLit(draw(st.integers(0, 2)), draw(st.sampled_from("SPD")),
                          draw(st.integers(0, 1)))
                 for _ in range(pid.arity)]
+        if pid.variant != "Plain":  # a Delta variant's first class is a D class
+            lits[0] = ClassLit(lits[0].neg, "D", lits[0].level)
     lits = [ClassLit(c.neg, draw(st.sampled_from("SP")), 0)
             if c.kind != "D" and c.level == 0 else c for c in lits]
-    if pid.family in ("DML", "DMLBOT", "DNEOR") and draw(st.booleans()):
+    if (pid.family in ("DML", "DMLBOT", "DNEOR") and pid.variant == "Plain"
+            and draw(st.booleans())):
         lits.reverse()
     text = str(Node(pid, tuple(lits)))
     if len(lits) == 2 and lits[0] == lits[1] and draw(st.booleans()):
@@ -396,13 +397,31 @@ class TestClassLiterals:
 
     def test_covers(self):
         def covers(text):
-            return [format_class_literal(c)
-                    for c in class_lit_covers(parse_class_literal(text))]
+            return [node.removeprefix("LEM:") for node in plain_covers(f"LEM:{text}")[1]]
         assert covers("S2") == ["D2"]
         assert covers("D2") == ["P1", "S1"]
         assert covers("nP1") == ["nD1"]
         assert covers("nD1") == ["nS0"]
         assert covers("D0") == []
+        # levels compare as numbers, not as text
+        assert covers("D10") == ["P9", "S9"]
+        s9, d10, s10 = map(parse_class_literal, ("S9", "D10", "S10"))
+        assert class_lit_subset(s9, d10) and class_lit_subset(d10, s10)
+        assert not class_lit_subset(s10, s9)
+
+    def test_order_agrees_with_the_reference(self):
+        """On every pair of literals of negation depth 0-2 at levels 0-8,
+        P0 included, the order is the reference's, and so are the covers
+        of each literal that the engine's cover steps take."""
+        lits = [ClassLit(neg, kind, level)
+                for neg in range(3) for kind in "SPD" for level in range(9)]
+        assert len(lits) == 81
+        for a, b in itertools.product(lits, repeat=2):
+            assert class_lit_subset(a, b) == ref_lit_subset(a, b), (a, b)
+        for a in lits:
+            text = format_class_literal(a)
+            assert plain_covers(f"LEM:{text}") == (
+                "LEM", [f"LEM:{format_class_literal(c)}" for c in ref_lit_covers(a)]), text
 
     def test_order_is_the_one_in_nodes(self):
         """hierarchy re-exports the order that the engine reads from nodes."""
