@@ -9,15 +9,15 @@ level cap has one ground program, built on first use from the levels up
 to the cap: every rule instance for k up to the cap, indexed by its
 premises, an instance with a node above the cap being a clamp marker,
 and every ground separation fact within the cap.  Closure is its least
-fixpoint, computed by one worklist in which an arriving node queues the
-nodes it covers in the class inclusion order and the rule instances it
-completes; queries answer with a replayable chain, a citation-backed
-separation, or Unknown.  Equivalence classes are found by elimination: a
-candidate whose closure lacks the node rules out every node of that
-closure.  What the engine keeps between calls, the grounding of each
-level, a program per level cap and the cover steps of the nodes closures
-reach, grows with the ground programs, not with the number of requests
-served.
+fixpoint, by one worklist of nodes, each queued once, when a step first
+reaches it: a node steps to the nodes it covers in the class inclusion
+order and to the rule instances it completes.  Queries answer with a
+replayable chain, a citation-backed separation, or Unknown.  Equivalence
+classes are found by elimination: a candidate whose closure lacks the
+node rules out every node of that closure.  What the engine keeps between
+calls, the grounding of each level, a program per level cap and the cover
+steps of the nodes closures reach, grows with the ground programs, not
+with the number of requests served.
 
 This is the one module that reads a rule's verify spec.  load_rulebase
 checks it: its kind, its skeleton, and that each lemma names an admitted
@@ -364,51 +364,49 @@ def _cover_steps(rb: RuleBase, n: str) -> tuple:
 
 def _closure_detail(assumed: frozenset[str], rb: RuleBase, k_max: int,
                     rng: random.Random | None = None):
-    """Least fixpoint with provenance, by one worklist over the ground
-    program.  Monotonicity is cover edges: each arriving node queues the
-    nodes it covers, whose transitive closure is its down-set, and the
-    rule instances whose missing-premise count it brings to 0.  rng, when
-    given, picks the next queued step; the fixpoint does not depend on it.
+    """Least fixpoint with provenance, by one worklist of nodes over the
+    ground program, each queued once, when a step first reaches it.  A
+    node taken steps to the nodes it covers (their transitive closure is
+    its down-set), then to the rule instances it completes.  rng, when
+    given, picks the next queued node; the fixpoint does not depend on it.
 
-    Returns (nodes, steps, clamped_levels): steps maps each derived node
-    to the (rule_id, premises, node) step that first added it, in the
-    order they were added; clamped_levels collects conclusion levels that
-    were cut off at k_max.
+    Returns (reached, clamped_levels): reached maps each node, in the
+    order reached, to the (rule_id, premises, node, level) step that
+    reached it, None for an assumed node; clamped_levels collects the
+    conclusion levels of completed clamp markers.
     """
     insts, watch, counts, _facts = _program(rb, k_max)
     missing = counts.copy()
-    todo = deque([(None, (), n, None) for n in sorted(assumed)])
-    todo.extend(insts[i] for i in watch.get(None, ()))
-    nodes: set[str] = set()
-    steps: dict[str, tuple] = {}
+    todo = deque(sorted(assumed))
+    reached: dict[str, tuple | None] = dict.fromkeys(todo)
     clamped: set[int] = set()
-    while todo:
+    steps = [insts[i] for i in watch.get(None, ())]
+    while True:
+        for step in steps:
+            n = step[2]
+            if n is None:
+                clamped.add(step[3])
+            elif n not in reached:
+                reached[n] = step
+                todo.append(n)
+        if not todo:
+            return reached, clamped
         if rng is not None:
             todo.rotate(rng.randrange(len(todo)))
-        rid, prems, n, level = todo.popleft()
-        if n is None:
-            clamped.add(level)
-            continue
-        if n in nodes:
-            continue
-        nodes.add(n)
-        if rid is not None:
-            steps[n] = (rid, prems, n)
-        todo.extend(_cover_steps(rb, n))
+        n = todo.popleft()
+        steps = list(_cover_steps(rb, n))
         for i in watch.get(n, ()):
             missing[i] -= 1
             if not missing[i]:
-                todo.append(insts[i])
-    return frozenset(nodes), steps, clamped
+                steps.append(insts[i])
 
 
 def closure(ctx: TheoryContext, rb: RuleBase,
             rng: random.Random | None = None) -> frozenset[str]:
     """The set of ground principle nodes derivable over HA from the
     assumed nodes, up to level k_max.  Deterministic: the least fixpoint
-    does not depend on the order the worklist takes its steps in."""
-    nodes, _steps, _clamped = _closure_detail(ctx.assumed, rb, ctx.k_max, rng)
-    return nodes
+    does not depend on the order the worklist takes its nodes in."""
+    return frozenset(_closure_detail(ctx.assumed, rb, ctx.k_max, rng)[0])
 
 
 def query(ctx: TheoryContext, goal: str, rb: RuleBase):
@@ -421,16 +419,16 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
     goal, level = ground_node(goal)
     if level > ctx.k_max:
         raise LevelOutOfRange(f"{goal} exceeds k_max={ctx.k_max}")
-    nodes, steps, clamped = _closure_detail(ctx.assumed, rb, ctx.k_max)
-    if goal in nodes:
+    reached, clamped = _closure_detail(ctx.assumed, rb, ctx.k_max)
+    if goal in reached:
         needed, chain = {goal}, []
-        for step in reversed(steps.values()):
-            if step[2] in needed:
+        for step in reversed(reached.values()):
+            if step is not None and step[2] in needed:
                 chain.append(step)
                 needed.update(step[1])
         uses = Counter(p for step in chain for p in step[1])
         merged: dict[str, tuple] = {}
-        for rid, prems, n in reversed(chain):
+        for rid, prems, n, _level in reversed(chain):
             prev = merged.get(prems[0]) if prems else None
             if prev and prev[0] == rid and rid.startswith("mono:") and uses[prems[0]] == 1:
                 prems = merged.pop(prems[0])[1]
@@ -438,10 +436,10 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
         return Derivable(list(merged.values()))
 
     ctx_with_goal = ctx.assumed | {goal}
-    nodes_with_goal, _s, _c = _closure_detail(ctx_with_goal, rb, ctx.k_max)
+    reached_with_goal, _clamped = _closure_detail(ctx_with_goal, rb, ctx.k_max)
     for fact, k, theory, unprov in _program(rb, ctx.k_max)[3]:
-        if unprov in nodes_with_goal and nodes <= _closure_detail(
-                frozenset(theory), rb, ctx.k_max)[0]:
+        if unprov in reached_with_goal and _closure_detail(
+                frozenset(theory), rb, ctx.k_max)[0].keys() >= ctx.assumed:
             return Separated(fact.fact_id, {
                 "k": k,
                 "theory": theory,
@@ -450,8 +448,7 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
             })
 
     involved = {ground_node(n)[1] for n in ctx_with_goal}
-    warning = any(abs(lvl - m) <= 2 for lvl in clamped for m in involved)
-    return Unknown(bool(clamped) and warning)
+    return Unknown(any(abs(lvl - m) <= 2 for lvl in clamped for m in involved))
 
 
 def equivalence_class(node: str, base: TheoryContext, rb: RuleBase) -> frozenset[str]:
@@ -466,17 +463,17 @@ def equivalence_class(node: str, base: TheoryContext, rb: RuleBase) -> frozenset
     if level > base.k_max - 2:
         raise LevelOutOfRange(
             f"{node} needs k_max >= level + 2 (k_max={base.k_max})")
-    fwd, _s, _c = _closure_detail(base.assumed | {node}, rb, base.k_max)
+    fwd, _clamped = _closure_detail(base.assumed | {node}, rb, base.k_max)
     out: set[str] = set()
     ruled_out: set[str] = set()
     for cand in sorted(fwd):
         if cand in ruled_out:
             continue
-        back, _s2, _c2 = _closure_detail(base.assumed | {cand}, rb, base.k_max)
+        back, _clamped = _closure_detail(base.assumed | {cand}, rb, base.k_max)
         if node in back:
             out.add(cand)
         else:
-            ruled_out |= back
+            ruled_out.update(back)
     return frozenset(out)
 
 

@@ -3,6 +3,7 @@ verification, and figure export."""
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import pathlib
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sca import derivability
 from sca.derivability import (
     _FIGURES, K_MAX_LIMIT, Derivable, LevelOutOfRange, MissingCitation,
-    RuleBase, SchemaError, Separated, TheoryContext, Unknown, UnknownFamily, _cover_steps,
-    _program, closure, equivalence_class, export_dot, ground_pattern, load_default_rulebase,
-    load_rulebase, parse_pattern, query, verify_rulebase,
+    RuleBase, SchemaError, Separated, TheoryContext, Unknown, UnknownFamily, _closure_detail,
+    _cover_steps, _program, closure, equivalence_class, export_dot, ground_pattern,
+    load_default_rulebase, load_rulebase, parse_pattern, query, verify_rulebase,
 )
 from sca.formulas import parse
 from sca.hierarchy import relative_classify
@@ -194,6 +196,11 @@ def _pool(rb) -> list[str]:
     return sorted({str(n) for r in rb.rules
                    for p in r.premises + (r.conclusion,) for k in (1, 2)
                    if (n := _at(p, k)) is not None and n.level <= 3})
+
+
+# A rule that concludes one level above its premise: at the cap, its
+# instance is a clamp marker.
+_CLAMP_RULE = {"id": "r1", "premises": ["LEM:S(k)"], "conclusion": "DNE:S(k+1)", "cite": CITE}
 
 
 def _mini(rules=(), separations=(), inclusions=("LEM", "DNE")):
@@ -522,6 +529,37 @@ class TestClosure:
         baseline = closure(ctx, rb)
         for seed in range(5):
             assert closure(ctx, rb, rng=random.Random(seed)) == baseline
+
+    @pytest.mark.parametrize("rules, base, k_max, levels", [
+        (None, ["LEM:S20"], 20, set()), (None, ["LEM:P2", "DNE:S2"], 4, set()),
+        (None, [], 3, set()), ([_CLAMP_RULE], ["LEM:S3"], 3, {4})])
+    def test_worklist_queues_each_node_once(self, monkeypatch, rb, rules, base, k_max, levels):
+        """The worklist takes each reached node once, and the map it
+        returns gives each node the step that reached it: None for an
+        assumed node, else a program instance or a cover step concluding
+        it.  A completed clamp marker adds its level and no node."""
+        if rules is not None:
+            rb = _mini(rules=rules)
+        pops = []
+
+        class CountingDeque(collections.deque):
+            def popleft(self):
+                pops.append(None)
+                return super().popleft()
+
+        monkeypatch.setattr(derivability, "deque", CountingDeque)
+        ctx = TheoryContext.make(base, k_max)
+        reached, clamped = _closure_detail(ctx.assumed, rb, k_max)
+        assert len(pops) == len(reached)
+        assert reached.keys() == closure(ctx, rb)
+        insts = set(_program(rb, k_max)[0])
+        for n, step in reached.items():
+            if n in ctx.assumed:
+                assert step is None
+            else:
+                assert step[2] == n
+                assert step in insts or step in _cover_steps(rb, step[1][0]), step
+        assert clamped == levels
 
     def test_covers_reach_every_down_set(self):
         # With no rules, a node's closure is exactly its down-set: every
