@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instantiate",
                        help="render a principle node with witness formulas")
-    p.add_argument("node")
+    p.add_argument("node", type=str.strip)
     p.add_argument("--phi", required=True)
     p.add_argument("--psi")
     p.add_argument("--phi2")
@@ -301,13 +301,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="is the goal derivable from the base?")
     p.add_argument("--base", required=True)
-    p.add_argument("--goal", required=True)
+    p.add_argument("--goal", required=True, type=str.strip)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--rulebase")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("equiv", help="equivalence class of a node over HA")
-    p.add_argument("node")
+    p.add_argument("node", type=str.strip)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--rulebase")
     p.set_defaults(func=_cmd_equiv)

@@ -347,6 +347,7 @@ _SPELLINGS = [
     ("LEM:P0", "LEM:S0", 0),
     ("DNEOR:P9:P10", "DNEOR:P10:P9", 10),
     ("LEM:S01", "LEM:S1", 1),
+    (" LEM:S1 ", "LEM:S1", 1),
 ]
 
 
@@ -418,6 +419,7 @@ class TestRequestNodeText:
     @pytest.mark.parametrize("text, arity, node", [
         ("DML:S1", 2, "DML:S1:S1"), ("LEM:P0", 1, "LEM:P0"),
         ("DNEOR:P9:P10", 2, "DNEOR:P9:P10"), ("LEM:S01", 1, "LEM:S1"),
+        (" LEM:S1 ", 1, "LEM:S1"),
     ])
     def test_instantiate_keeps_the_order_written(self, capsys, text, arity, node):
         """A schema instance names its node as instantiated: the diagonal
