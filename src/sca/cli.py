@@ -195,33 +195,35 @@ def _cmd_closure(args) -> int:
     return 0
 
 
+def _query_json(result, rb: derivability.RuleBase) -> dict:
+    """The --json payload of a query answer."""
+    from .derivability import Derivable, Separated
+
+    if isinstance(result, Derivable):
+        return {"result": "DERIVABLE", "chain": _chain_rows(result.chain, rb)}
+    if isinstance(result, Separated):
+        return {"result": "SEPARATED", "fact": result.fact_id, "witness": result.witness}
+    return {"result": "UNKNOWN", "boundary_warning": result.boundary_warning}
+
+
 def _cmd_query(args) -> int:
-    from .derivability import Derivable, Separated, TheoryContext, query
+    from .derivability import TheoryContext, query
 
     rb = _load_rulebase(args)
     ctx = TheoryContext.make(_split_nodes(args.base), args.kmax)
-    result = query(ctx, args.goal, rb)
-    if isinstance(result, Derivable):
-        rows = _chain_rows(result.chain, rb)
-        text = "DERIVABLE"
-        if rows:
-            text += "\n" + _chain_text(rows)
-        _emit(args, {"result": "DERIVABLE", "chain": rows}, text)
-    elif isinstance(result, Separated):
-        w = result.witness
-        payload = {"result": "SEPARATED", "fact": result.fact_id, "witness": w}
-        text = (f"SEPARATED\n  fact: {result.fact_id} (k={w['k']})\n"
-                f"  theory: {', '.join(w['theory']) or 'HA'}\n"
-                f"  does not prove: {w['unprovable']}\n"
-                f"  cite: {w['cite']['ref']}")
-        _emit(args, payload, text)
-    else:
-        payload = {"result": "UNKNOWN",
-                   "boundary_warning": result.boundary_warning}
-        text = "UNKNOWN"
-        if result.boundary_warning:
-            text += "\n  (level cap may have interfered; raise --kmax)"
-        _emit(args, payload, text)
+    payload = _query_json(query(ctx, args.goal, rb), rb)
+    text = payload["result"]
+    if payload.get("chain"):
+        text += "\n" + _chain_text(payload["chain"])
+    elif "witness" in payload:
+        w = payload["witness"]
+        text += (f"\n  fact: {payload['fact']} (k={w['k']})\n"
+                 f"  theory: {', '.join(w['theory']) or 'HA'}\n"
+                 f"  does not prove: {w['unprovable']}\n"
+                 f"  cite: {w['cite']['ref']}")
+    elif payload.get("boundary_warning"):
+        text += "\n  (level cap may have interfered; raise --kmax)"
+    _emit(args, payload, text)
     return 0
 
 

@@ -37,8 +37,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import cli_table  # noqa: E402
 from sca import cli  # noqa: E402
 from sca.derivability import (  # noqa: E402
-    Derivable, Separated, TheoryContext, closure, equivalence_class, ground_pattern,
-    load_default_rulebase, load_rulebase, query,
+    TheoryContext, closure, equivalence_class, ground_pattern, load_default_rulebase,
+    load_rulebase, query,
 )
 from sca.nodes import ground_node  # noqa: E402
 
@@ -85,16 +85,6 @@ def cli_rows() -> list[str]:
     return out
 
 
-def query_json(ctx: TheoryContext, goal: str, rb) -> dict:
-    """The payload that `sca --json query` prints."""
-    result = query(ctx, goal, rb)
-    if isinstance(result, Derivable):
-        return {"result": "DERIVABLE", "chain": cli._chain_rows(result.chain, rb)}
-    if isinstance(result, Separated):
-        return {"result": "SEPARATED", "fact": result.fact_id, "witness": result.witness}
-    return {"result": "UNKNOWN", "boundary_warning": result.boundary_warning}
-
-
 def node_pool(rb, k_max: int) -> list[str]:
     """The nodes the rules name at levels up to the cap, sorted."""
     texts = {ground_pattern(p, k) for rule in rb.rules
@@ -116,13 +106,13 @@ def comparison_set() -> list[str]:
             goals += rng.sample(pool, GOALS_PER_BASE - len(goals))
             for goal in goals:
                 out.append(line(kind="query", base=sorted(ctx.assumed), goal=goal, k_max=k_max,
-                                answer=query_json(ctx, goal, rb)))
+                                answer=cli._query_json(query(ctx, goal, rb), rb)))
 
     clamp_rb, clamp_ctx = load_rulebase(CLAMP_RULEBASE), TheoryContext.make(["LEM:S3"], 3)
     out.append(line(kind="closure", base=sorted(clamp_ctx.assumed), k_max=3,
                     closure=sorted(closure(clamp_ctx, clamp_rb))))
     out.append(line(kind="query", base=sorted(clamp_ctx.assumed), goal="DML:S3", k_max=3,
-                    answer=query_json(clamp_ctx, "DML:S3", clamp_rb)))
+                    answer=cli._query_json(query(clamp_ctx, "DML:S3", clamp_rb), clamp_rb)))
 
     for node in EQUIV_NODES:
         members = equivalence_class(node, TheoryContext.make((), EQUIV_KMAX), rb)
