@@ -12,12 +12,15 @@ and every ground separation fact within the cap.  Closure is its least
 fixpoint, by one worklist of nodes, each queued once, when a step first
 reaches it: a node steps to the nodes it covers in the class inclusion
 order and to the rule instances it completes.  Queries answer with a
-replayable chain, a citation-backed separation, or Unknown.  Equivalence
-classes are found by elimination: a candidate whose closure lacks the
-node rules out every node of that closure.  What the engine keeps between
-calls, the grounding of each level, a program per level cap and the cover
-steps of the nodes closures reach, grows with the ground programs, not
-with the number of requests served.
+replayable chain, a citation-backed separation, or Unknown.  The
+separation scan takes the ground facts in file order, then by k, and
+closes each distinct ground theory at most once per query; nothing of it
+is kept between queries.  Equivalence classes are found by elimination:
+a candidate whose closure lacks the node rules out every node of that
+closure.  What the engine keeps between calls, the grounding of each
+level, a program per level cap and the cover steps of the nodes closures
+reach, grows with the ground programs, not with the number of requests
+served.
 
 This is the one module that reads a rule's verify spec.  load_rulebase
 checks it: its kind, its skeleton, and that each lemma names an admitted
@@ -105,7 +108,7 @@ class RuleBase(Record):
             set_memo(self, {})
 
 
-_GUARD_RE = re.compile(r"^k(>=|==)(\d+)$")
+_GUARD_RE = re.compile(r"^k(>=|==)([0-9]+)$")
 
 # The lemma laws a propositional rule may assume, in the skeleton's
 # notation over the letters that the lemma's fields name: a dual implies
@@ -415,7 +418,15 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
 
     The chain lists the steps the goal needs in the order the fixpoint
     added them, a run of monotonicity steps of one family folded into one
-    down-set step where no other step uses the nodes it passes through."""
+    down-set step where no other step uses the nodes it passes through.
+
+    A goal outside the base's closure is looked up in the separation
+    facts ground within the cap, in file order and then by k: the first
+    fact whose unprovable node is in the closure of the base plus the
+    goal, and whose theory's closure holds the base, answers.  Several
+    entries share a ground theory (the empty theory of a fact at every
+    k), so each distinct theory is closed at most once per query, and
+    its verdict reused; nothing is kept between queries."""
     goal, level = ground_node(goal)
     if level > ctx.k_max:
         raise LevelOutOfRange(f"{goal} exceeds k_max={ctx.k_max}")
@@ -437,9 +448,14 @@ def query(ctx: TheoryContext, goal: str, rb: RuleBase):
 
     ctx_with_goal = ctx.assumed | {goal}
     reached_with_goal, _clamped = _closure_detail(ctx_with_goal, rb, ctx.k_max)
+    holds: dict[frozenset[str], bool] = {}  # per ground theory: its closure holds the base
     for fact, k, theory, unprov in _program(rb, ctx.k_max)[3]:
-        if unprov in reached_with_goal and _closure_detail(
-                frozenset(theory), rb, ctx.k_max)[0].keys() >= ctx.assumed:
+        if unprov not in reached_with_goal:
+            continue
+        texts = frozenset(theory)
+        if texts not in holds:
+            holds[texts] = _closure_detail(texts, rb, ctx.k_max)[0].keys() >= ctx.assumed
+        if holds[texts]:
             return Separated(fact.fact_id, {
                 "k": k,
                 "theory": theory,

@@ -96,7 +96,7 @@ _BY_HEAD = {(pid.family, _TAGS[pid.variant]): pid for pid, _ in CATALOG}
 # ---------------------------------------------------------------------------
 # Class literals
 
-_LIT_RE = re.compile(r"(nn|n)?([SPD])(?:(\d+)|\(k([+-]\d+)?\))")
+_LIT_RE = re.compile(r"(nn|n)?([SPD])(?:([0-9]+)|\(k([+-][0-9]+)?\))")
 
 
 class ClassLit(Record):
@@ -185,7 +185,7 @@ def _spell(head: str, texts: list[str]) -> str:
     return ":".join([head, *texts])
 
 
-_RELATIVE_RE = re.compile(r"\(k([+-]\d+)?\)(?=:|$)")
+_RELATIVE_RE = re.compile(r"\(k([+-][0-9]+)?\)(?=:|$)")
 
 
 def _at_zero(text: str) -> str:

@@ -149,7 +149,7 @@ def rb() -> derivability.RuleBase:
 # tests check NodePat.ground, the engine's cover steps and the oracles'
 # canonical nodes and levels against it.
 
-_REF_LIT_RE = re.compile(r"(n{0,2})([SPD])(\d+)")
+_REF_LIT_RE = re.compile(r"(n{0,2})([SPD])([0-9]+)")
 _REF_TAGS = {PLAIN: "", DELTA_SIGMA: "DSI", DELTA_PI: "DPI"}
 _REF_SCHEMAS = {(pid.family, _REF_TAGS[pid.variant]): pid for pid, _ in CATALOG}
 # the families whose two class arguments are interchangeable

@@ -206,6 +206,11 @@ class TestVerifyRules:
     @pytest.mark.parametrize("data, named", [
         ({"rules": [{"id": "r1", "conclusion": 1}]}, "rule r1"),
         ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)", "guard": 5}]}, "rule r1"),
+        # levels and guards are ASCII digits, not any Unicode decimal
+        ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)", "guard": "k>=\u0661"}]},
+         "rule r1: bad guard"),
+        ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)", "premises": ["LEM:S(k-\u0661)"]}]},
+         "rule r1: bad class literal"),
         ({"rules": [{"id": "r1", "conclusion": "DNE:S(k)",
                      "premises": "LEM:S(k)"}]}, "rule r1"),
         ({"rules": [{"id": "r1", "conclusion": "FOO:S(k)"}]}, "rule r1"),
@@ -362,6 +367,8 @@ class TestRequestNodeText:
         ("LEM:S(k)", "bad class literal: 'S(k)'"),
         ("LEM:nS(k-1)", "bad class literal: 'nS(k-1)'"),
         ("LEM:X(k)", "bad class literal: 'X(k)'"),
+        # a level is ASCII digits, not any Unicode decimal (an Arabic-Indic one)
+        ("LEM:S\u0661", "bad class literal: 'S\u0661'"),
         ("FOO:S(k)", "unknown principle family: 'FOO:S(k)'"),
         ("LEM:S1:S2", "LEM takes 1 class argument(s), got 2"),
         ("LEM:DSI:S1", "variant DeltaSigma requires a D class in the first argument: "

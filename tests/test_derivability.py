@@ -280,6 +280,19 @@ class TestLoadRulebase:
         with pytest.raises(SchemaError):
             load_rulebase("[]")
 
+    @pytest.mark.parametrize("rule, message", [
+        ({"guard": "k>=\u0661"}, "rule r1: bad guard: 'k>=\u0661'"),
+        ({"premises": ["LEM:S(k-\u0661)"]}, "rule r1: bad class literal: 'S(k-\u0661)'"),
+    ])
+    def test_levels_are_ascii_digits(self, rule, message):
+        """A level or guard bound is ASCII digits: an Arabic-Indic one,
+        which int() would read, is a bad guard or class literal, in a rule
+        base as in request text."""
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            _mini(rules=[{"id": "r1", "conclusion": "DNE:S(k)", "cite": CITE, **rule}])
+        with pytest.raises(SchemaError, match=re.escape("bad class literal: 'S\u0661'")):
+            TheoryContext.make(["LEM:S\u0661"], 3)
+
     def test_equality_ignores_memos(self, rb):
         closure(TheoryContext.make({"LEM:S1"}, 3), rb)
         assert load_default_rulebase() == rb
@@ -740,6 +753,60 @@ class TestQuery:
     def test_level_out_of_range(self, rb):
         with pytest.raises(LevelOutOfRange):
             query(TheoryContext.make((), 2), "DNE:S3", rb)
+
+    def test_scan_closes_each_theory_once_per_query(self, monkeypatch, rb):
+        """A query closes the base, then, for a goal outside it, the base
+        plus the goal, then each distinct ground theory among the scan's
+        entries, up to the answer, whose unprovable node is in the goal's
+        closure: once per query, however many entries share the theory
+        (sep-dml-s1 and sep-dne-s1 have the empty theory at every k).
+        Asked twice, a query closes as often both times, so nothing the
+        scan closes is kept for the next query."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _closure_detail(*args, **kwargs)
+
+        def closures(ctx, goal):
+            counts, answers = [], []
+            for _ in range(2):
+                calls.clear()
+                answers.append(query(ctx, goal, rb))
+                counts.append(len(calls))
+            assert answers[0] == answers[1]
+            return counts, answers[0]
+
+        def expected(ctx, goal, res):
+            if isinstance(res, Derivable):
+                return 1
+            with_goal = closure(TheoryContext(ctx.assumed | {goal}, ctx.k_max), rb)
+            theories = set()
+            for fact, k, theory, unprov in _program(rb, ctx.k_max)[3]:
+                if unprov in with_goal:
+                    theories.add(frozenset(theory))
+                    if isinstance(res, Separated) and (fact.fact_id, k) == (
+                            res.fact_id, res.witness["k"]):
+                        break
+            return 2 + len(theories)
+
+        monkeypatch.setattr(derivability, "_closure_detail", counted)
+        # perfbench/cli_table.py rows 19 (sep-finsy at k=2) and 21
+        finsy = (TheoryContext.make({"DML:S2", "DNE:S2"}, 4), "LEM:nS2")
+        unknown = (TheoryContext.make({"LEM:nnS1"}, 4), "DML:P1:nP1")
+        counts, res = closures(*finsy)
+        assert counts == [5, 5] and (res.fact_id, res.witness["k"]) == ("sep-finsy", 2)
+        assert closures(*unknown) == ([7, 7], Unknown(False))
+        pool, rng = _pool(rb), random.Random(28)
+        verdicts = set()
+        for k_max in (3, 4, 5):
+            for _ in range(20):
+                ctx = TheoryContext.make(rng.sample(pool, rng.randint(0, 3)), k_max)
+                goal = rng.choice(pool)
+                counts, res = closures(ctx, goal)
+                assert counts == [expected(ctx, goal, res)] * 2, (ctx, goal)
+                verdicts.add(type(res))
+        assert verdicts == {Derivable, Separated, Unknown}
 
     def test_consistency_audit(self, rb):
         # no shipped separation is contradicted by the rules themselves
